@@ -1,9 +1,16 @@
 """Finite-difference Hessians with Richardson extrapolation.
 
 Central second differences on a shrinking ladder of step sizes, combined by
-Richardson extrapolation of the h^2 error expansion.  The function is
-evaluated in one batched call per run, so callers should accept (N, d)
-arrays of sample points.
+Richardson extrapolation of the h^2 error expansion.  Callers pass f_batch,
+which maps (N, d) arrays of sample points to N values.
+
+The stencil of every level is one half-stencil of offsets o (e_i, e_i + e_j
+and e_i - e_j for i < j, times h), and f_batch is called twice per Hessian:
+once on x + o and once on x - o, each with the centre x as its first row.
+The two calls have the same shape, so for an even function the values at
+-x sit at the same row positions as those at x, only with the two calls
+swapped.  The Hessian is then bit-identical at x and -x even when f_batch
+(through BLAS) rounds a row differently depending on where it sits.
 """
 
 from __future__ import annotations
@@ -24,52 +31,37 @@ def hessian(f_batch, x, step=DEFAULT_STEP, levels=DEFAULT_LEVELS):
     x = np.asarray(x, dtype=float)
     d = len(x)
     scale = max(np.linalg.norm(x), 1.0)
-    steps = [step * scale / 2 ** k for k in range(levels)]
-
-    points = [x[None, :]]
-    index = {}
-    pos = 1
-
-    def add(v):
-        nonlocal pos
-        points.append(v[None, :])
-        pos += 1
-        return pos - 1
+    h = step * scale / 2.0 ** np.arange(levels)
 
     eye = np.eye(d)
-    for li, h in enumerate(steps):
-        for i in range(d):
-            index[(li, i, 1)] = add(x + h * eye[i])
-            index[(li, i, -1)] = add(x - h * eye[i])
-            for j in range(i + 1, d):
-                index[(li, i, j, 1, 1)] = add(x + h * eye[i] + h * eye[j])
-                index[(li, i, j, 1, -1)] = add(x + h * eye[i] - h * eye[j])
-                index[(li, i, j, -1, 1)] = add(x - h * eye[i] + h * eye[j])
-                index[(li, i, j, -1, -1)] = add(x - h * eye[i] - h * eye[j])
+    iu, ju = np.triu_indices(d, 1)
+    half = np.concatenate([eye, eye[iu] + eye[ju], eye[iu] - eye[ju]])
+    offs = (h[:, None, None] * half).reshape(-1, d)
 
-    vals = np.asarray(f_batch(np.concatenate(points, axis=0)), dtype=float)
-    f0 = vals[0]
+    def run(points):
+        vals = np.asarray(f_batch(np.concatenate([x[None, :], points])), dtype=float)
+        return vals[0], vals[1:].reshape(levels, len(half))
 
-    # groupings pair antipodal stencil points first, so an even function
+    f0, plus = run(x + offs)
+    _, minus = run(x - offs)
+
+    # sums pair antipodal stencil points first, so an even function
     # produces bit-identical Hessians at x and -x
-    tables = []
-    for li, h in enumerate(steps):
-        H = np.zeros((d, d))
-        for i in range(d):
-            H[i, i] = (
-                (vals[index[(li, i, 1)]] + vals[index[(li, i, -1)]]) - 2 * f0
-            ) / h ** 2
-            for j in range(i + 1, d):
-                v = (
-                    (vals[index[(li, i, j, 1, 1)]] + vals[index[(li, i, j, -1, -1)]])
-                    - (vals[index[(li, i, j, 1, -1)]] + vals[index[(li, i, j, -1, 1)]])
-                ) / (4 * h ** 2)
-                H[i, j] = H[j, i] = v
-        tables.append(H)
+    sums = plus + minus
+    p = len(iu)
+    h2 = (h * h)[:, None]
+    diag = (sums[:, :d] - 2 * f0) / h2
+    off = (sums[:, d : d + p] - sums[:, d + p :]) / (4 * h2)
+
+    tables = np.zeros((levels, d, d))
+    idx = np.arange(d)
+    tables[:, idx, idx] = diag
+    tables[:, iu, ju] = off
+    tables[:, ju, iu] = off
 
     order = 1
     while len(tables) > 1:
         factor = 4 ** order
-        tables = [(factor * tables[k + 1] - tables[k]) / (factor - 1) for k in range(len(tables) - 1)]
+        tables = (factor * tables[1:] - tables[:-1]) / (factor - 1)
         order += 1
     return tables[0]
