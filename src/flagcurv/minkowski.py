@@ -114,22 +114,7 @@ class MinkowskiNorm:
         if self.kind == "riemannian":
             return self.q.copy()
         if self.kind == "alpha_beta":
-            Q = self.q
-            alpha = float(np.sqrt(u @ Q @ u))
-            a = Q @ u / alpha
-            b = Q @ self.v0
-            s = float(self.v0 @ Q @ u) / alpha
-            phi, dphi, ddphi = _phi_eval(self.phi, s)
-            c3 = dphi * dphi + phi * ddphi
-            A4 = phi * phi - s * phi * dphi
-            A1 = -s * phi * dphi + s * s * c3
-            A2 = phi * dphi - s * c3
-            return (
-                A1 * np.outer(a, a)
-                + A2 * (np.outer(a, b) + np.outer(b, a))
-                + c3 * np.outer(b, b)
-                + A4 * Q
-            )
+            return self._alpha_beta_grams(u[None, :])[0]
         if self.kind == "quartic_perturbed":
             A = self.q
             qv = float(u @ A @ u)
@@ -154,24 +139,7 @@ class MinkowskiNorm:
         if self.kind == "riemannian":
             return np.broadcast_to(self.q, (n, d, d)).copy()
         if self.kind == "alpha_beta":
-            Q = self.q
-            QV = V @ Q
-            alpha = np.sqrt(np.einsum("ni,ni->n", QV, V))
-            a = QV / alpha[:, None]
-            b = Q @ self.v0
-            s = (V @ b) / alpha
-            phi, dphi, ddphi = _phi_eval(self.phi, s)
-            c3 = dphi * dphi + phi * ddphi
-            A4 = phi * phi - s * phi * dphi
-            A1 = -s * phi * dphi + s * s * c3
-            A2 = phi * dphi - s * c3
-            ab = np.einsum("ni,j->nij", a, b)
-            return (
-                A1[:, None, None] * np.einsum("ni,nj->nij", a, a)
-                + A2[:, None, None] * (ab + ab.transpose(0, 2, 1))
-                + c3[:, None, None] * np.outer(b, b)
-                + A4[:, None, None] * Q
-            )
+            return self._alpha_beta_grams(V)
         if self.kind == "quartic_perturbed":
             A = self.q
             AV = V @ A
@@ -192,6 +160,27 @@ class MinkowskiNorm:
                 0.125 / (G * r)
             )[:, None, None]
         raise ValueError("unknown norm kind %r" % self.kind)
+
+    def _alpha_beta_grams(self, V):
+        """alpha_beta grams at the rows of V; a single point is a batch of one."""
+        Q = self.q
+        QV = V @ Q
+        alpha = np.sqrt(np.einsum("ni,ni->n", QV, V))
+        a = QV / alpha[:, None]
+        b = Q @ self.v0
+        s = (V @ b) / alpha
+        phi, dphi, ddphi = _phi_eval(self.phi, s)
+        c3 = dphi * dphi + phi * ddphi
+        A4 = phi * phi - s * phi * dphi
+        A1 = -s * phi * dphi + s * s * c3
+        A2 = phi * dphi - s * c3
+        ab = np.einsum("ni,j->nij", a, b)
+        return (
+            A1[:, None, None] * np.einsum("ni,nj->nij", a, a)
+            + A2[:, None, None] * (ab + ab.transpose(0, 2, 1))
+            + c3[:, None, None] * np.outer(b, b)
+            + A4[:, None, None] * Q
+        )
 
     # -- structure ------------------------------------------------------------
 
@@ -277,9 +266,10 @@ def _unit_sphere(dim, count, seed):
 def _convexity_scan(F, count=CONVEXITY_DIRECTIONS, seed=1):
     """Smallest gram eigenvalue over count random unit directions, and the
     direction that attains it.  A riemannian gram is q in every direction,
-    so its scan reads the eigenvalues of q instead."""
+    so its scan reads the smallest eigenvalue of q, which every direction
+    attains."""
     if F.kind == "riemannian":
-        return float(np.linalg.eigvalsh(F.q)[0]), np.linalg.eigh(F.q)[1][:, 0]
+        return float(np.linalg.eigvalsh(F.q)[0]), np.eye(F.dim)[0]
     V = _unit_sphere(F.dim, count, seed)
     grams = F.gram_batch_closed(V)
     eigs = np.linalg.eigvalsh(grams)

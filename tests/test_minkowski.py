@@ -199,17 +199,6 @@ def test_alpha_beta_closed_hessian_fuzz(su4_onecircle):
             assert diff < 1e-7, diff
 
 
-def test_alpha_beta_batch_grams_match_pointwise(su4_onecircle, alpha_beta):
-    rng = np.random.default_rng(124)
-    other = make_norm("alpha_beta", {"phi": [1.0, 0.0, 0.35, 0.0, 0.06], "v0_scale": 0.6}, su4_onecircle, seed=5)
-    for F in (alpha_beta, other):
-        V = rng.standard_normal((40, F.dim)) * (0.2 + 3.0 * rng.random(40))[:, None]
-        V[0] = F.v0  # the pole itself
-        batch = F.gram_batch_closed(V)
-        for v, G in zip(V, batch):
-            assert np.abs(G - F._gram_closed(v)).max() < 1e-12
-
-
 def test_quartic_internal_closed_form_matches_fd(sp2_circle21, quartic):
     # the search guidance path must agree with the official FD evaluation
     rng = np.random.default_rng(123)
