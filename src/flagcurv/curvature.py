@@ -161,14 +161,15 @@ def flag_curvature(X, F, u, v, tolerances=None, gram_method="auto", gram_step=No
         return failed("degenerate flag plane", {"denominator": den})
     K = float(U @ gram @ U) / den
 
+    # K = <U,U>_u / den >= 0, so no negative verdict can arise
     if max(r1, r2, r3) < tol["zero_residual"] and abs(K) < tol["zero_curvature"]:
         verdict = "zero_flag"
     elif K > tol["zero_curvature"]:
         verdict = "positive"
-    elif K < -tol["zero_curvature"]:
-        verdict = "negative"
     else:
-        verdict = "positive"
+        # |K| within tolerance while a flatness residual is not: the flag is
+        # neither certified flat nor shown to be positively curved
+        verdict = "inconclusive"
 
     return FlagCertificate(
         u=u0,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .liealg import build_lie_algebra, _orthonormal_rows
+from .liealg import build_lie_algebra, _orthonormal_rows, null_rows
 from .homspace import SubalgebraSpec, build_space
 from .minkowski import make_norm, fundamental_tensor
 from .curvature import flag_curvature
@@ -597,15 +597,10 @@ def verify_closure_claims(example, m_prime=None, flag_index=0, tol=CLOSURE_TOL):
 # ---------------------------------------------------------------------------
 
 
-def _commutant_in_m(X, u, rel_tol=1e-9):
+def _commutant_in_m(X, u):
     """Kernel of w -> [u, w] on m (full bracket), excluding the pole line."""
-    bg = X.full_bracket_tensor()
-    B = np.einsum("ije,i->ej", bg, u)
-    U, S, Vt = np.linalg.svd(B)
-    svals = np.zeros(Vt.shape[0])
-    svals[: len(S)] = S
-    cut = rel_tol * (S[0] if len(S) else 1.0)
-    ker = Vt[svals <= cut]
+    B = np.einsum("ije,i->ej", X.full_bracket_tensor(), u)
+    ker = null_rows(B, 1e-9)
     if ker.shape[0] == 0:
         return ker
     un = u / np.linalg.norm(u)
@@ -652,14 +647,9 @@ def generic_flat_search(X, F, budget=200, seed=0, tolerances=None):
     seen = set()
     for w in starts:
         u = w / F.value(w)
-        com = _commutant_in_m(X, u)
-        if com.shape[0] == 0:
+        score, v = _flatness_score(X, F, u)
+        if v is None:
             continue
-        A, c0 = _residual_form(X, F, u)
-        Ak = com @ A @ com.T
-        vals, vecs = np.linalg.eigh(0.5 * (Ak + Ak.T))
-        v = vecs[:, 0] @ com
-        score = float(vals[0]) + c0
         if score > 1e-16:
             u2, v2, score2 = _descend_pole(X, F, u, score, seed=seed)
             if v2 is not None and score2 < score:
@@ -691,18 +681,23 @@ def _flag_key(u, v):
     return (canon(u), canon(v))
 
 
+def _flatness_score(X, F, u):
+    """Smallest flatness residual over v in the commutant of the F-unit pole
+    u, and the v attaining it; (inf, None) when the commutant is empty."""
+    com = _commutant_in_m(X, u)
+    if com.shape[0] == 0:
+        return np.inf, None
+    A, c0 = _residual_form(X, F, u)
+    Ak = com @ A @ com.T
+    vals, vecs = np.linalg.eigh(0.5 * (Ak + Ak.T))
+    return float(vals[0]) + c0, vecs[:, 0] @ com
+
+
 def _descend_pole(X, F, u0, score0, seed=0, max_iter=120):
     """Projected-gradient refinement of the pole, v re-solved per step."""
 
     def objective(u):
-        un = u / F.value(u)
-        com = _commutant_in_m(X, un)
-        if com.shape[0] == 0:
-            return np.inf, None
-        A, c0 = _residual_form(X, F, un)
-        Ak = com @ A @ com.T
-        vals, vecs = np.linalg.eigh(0.5 * (Ak + Ak.T))
-        return float(vals[0]) + c0, vecs[:, 0] @ com
+        return _flatness_score(X, F, u / F.value(u))
 
     u = u0 / F.value(u0)
     score, v = objective(u)

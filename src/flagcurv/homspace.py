@@ -15,12 +15,17 @@ import scipy.linalg as sla
 
 from .liealg import (
     LieAlgebra,
+    _block_generators,
     _complex_to_real,
+    _nested_centralizer_torus,
     _orthonormal_rows,
     _quat_to_real,
-    _refine_invariant_planes,
+    _torus_matrix,
+    _unit_generators,
+    null_rows,
     subalgebra_from_matrices,
     subalgebra_rank,
+    torus_blocks,
 )
 
 
@@ -57,73 +62,14 @@ class SubalgebraSpec:
         return ("explicit", [np.asarray(m, dtype=float) for m in matrices])
 
 
-def _block_generators(L, indices):
-    """Sub-block of the same family on the given 1-based coordinates."""
-    fam, n = L.family, L.n
+def _block_indices(L, indices):
+    """0-based coordinates of a block piece, checked against the family."""
     idx = [i - 1 for i in indices]
-    if any(i < 0 or i >= n for i in idx) or len(set(idx)) != len(idx):
+    if any(i < 0 or i >= L.n for i in idx) or len(set(idx)) != len(idx):
         raise ValueError("block indices out of range")
-    mats = []
-    if fam == "su":
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                i, j = idx[a], idx[b]
-                A = np.zeros((n, n), dtype=complex)
-                A[i, j] = 1.0
-                A[j, i] = -1.0
-                mats.append(_complex_to_real(A))
-                B = np.zeros((n, n), dtype=complex)
-                B[i, j] = 1j
-                B[j, i] = 1j
-                mats.append(_complex_to_real(B))
-        for a in range(len(idx) - 1):
-            D = np.zeros((n, n), dtype=complex)
-            D[idx[a], idx[a]] = 1j
-            D[idx[a + 1], idx[a + 1]] = -1j
-            mats.append(_complex_to_real(D))
-    elif fam == "sp":
-        zero = np.zeros((n, n), dtype=complex)
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                i, j = idx[a], idx[b]
-                for (A, B) in _sp_pair_units(n, i, j):
-                    mats.append(_quat_to_real(A, B))
-            i = idx[a]
-            for (A, B) in _sp_diag_units(n, i):
-                mats.append(_quat_to_real(A, B))
-    elif fam == "so":
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                i, j = idx[a], idx[b]
-                A = np.zeros((n, n))
-                A[i, j] = 1.0
-                A[j, i] = -1.0
-                mats.append(A)
-    else:
+    if L.family not in ("su", "sp", "so"):
         raise ValueError("block pieces are only defined for su/sp/so")
-    return mats
-
-
-def _sp_pair_units(n, i, j):
-    zero = np.zeros((n, n), dtype=complex)
-    out = []
-    A = zero.copy(); A[i, j] = 1.0; A[j, i] = -1.0
-    out.append((A, zero))
-    A = zero.copy(); A[i, j] = 1j; A[j, i] = 1j
-    out.append((A, zero))
-    B = zero.copy(); B[i, j] = 1.0; B[j, i] = 1.0
-    out.append((zero, B))
-    B = zero.copy(); B[i, j] = 1j; B[j, i] = 1j
-    out.append((zero, B))
-    return out
-
-
-def _sp_diag_units(n, i):
-    zero = np.zeros((n, n), dtype=complex)
-    A = zero.copy(); A[i, i] = 1j
-    B1 = zero.copy(); B1[i, i] = 1.0
-    B2 = zero.copy(); B2[i, i] = 1j
-    return [(A, zero), (zero, B1), (zero, B2)]
+    return idx
 
 
 def _circle_generator(L, weights):
@@ -137,31 +83,15 @@ def _circle_generator(L, weights):
     if np.abs(weights - np.round(weights)).max() > 1e-9:
         raise ValueError("circle weights must be integers")
     w = np.round(weights).astype(int)
+    if fam not in ("su", "sp", "so"):
+        raise ValueError("circle pieces are only defined for su/sp/so")
+    r = n // 2 if fam == "so" else n
+    if len(w) != r:
+        raise ValueError("circle weights must have length %d for %s(%d)" % (r, fam, n))
     note = None
-    if fam == "su":
-        if len(w) != n:
-            raise ValueError("circle weights must have length %d for su(%d)" % (n, n))
-        D = np.diag(1j * w.astype(float))
-        tr = np.trace(D) / n
-        if abs(tr.imag) > 0:
-            note = "circle weights sum to %d; projected to the traceless part" % int(w.sum())
-        D = D - tr * np.eye(n)
-        return _complex_to_real(D), w, note
-    if fam == "sp":
-        if len(w) != n:
-            raise ValueError("circle weights must have length %d for sp(%d)" % (n, n))
-        A = np.diag(1j * w.astype(float))
-        return _quat_to_real(A, np.zeros((n, n), dtype=complex)), w, note
-    if fam == "so":
-        r = n // 2
-        if len(w) != r:
-            raise ValueError("circle weights must have length %d for so(%d)" % (r, n))
-        J = np.zeros((n, n))
-        for k in range(r):
-            J[2 * k, 2 * k + 1] = w[k]
-            J[2 * k + 1, 2 * k] = -w[k]
-        return J, w, note
-    raise ValueError("circle pieces are only defined for su/sp/so")
+    if fam == "su" and w.sum() != 0:
+        note = "circle weights sum to %d; projected to the traceless part" % int(w.sum())
+    return _torus_matrix(fam, n, w), w, note
 
 
 def _intersect_spans(A, B, tol=1e-9):
@@ -216,9 +146,6 @@ class HomogeneousSpace:
     def project_m(self, x):
         return self.m_basis @ np.asarray(x, dtype=float)
 
-    def project_h(self, x):
-        return self.h_basis @ np.asarray(x, dtype=float)
-
     def m_bracket_tensor(self):
         """bm[i,j,k] with [m_i, m_j]_m = sum_k bm[i,j,k] m_k."""
         if "bm" not in self._cache:
@@ -266,38 +193,11 @@ class HomogeneousSpace:
             return self.plane_slices[neg]
         raise KeyError("root plane %s is not contained in m" % (key,))
 
-    def tm_basis(self):
-        """Rows of the m-basis lying in the torus (adapted bases only)."""
-        if self.tm_slice is None:
-            raise ValueError("space basis is not adapted to root planes")
-        s, k = self.tm_slice
-        return self.m_basis[s : s + k]
-
     # -- group action ----------------------------------------------------------
 
     def ad_matrix(self, elt):
         """Ad(elt) acting on algebra coordinates, for a realized group matrix."""
-        g = self.g
-        conj = np.einsum("ij,ajk,kl->ail", elt, g.basis, elt.T)
-        R = -g.kappa * np.einsum("aij,bji->ba", conj, g.basis)
-        recon = np.einsum("ba,bjk->ajk", R, g.basis)
-        res = np.abs(recon - conj).max()
-        if res > 1e-8:
-            raise ValueError("element does not act on the algebra (residual %.3e)" % res)
-        return R
-
-    def ad_on_m(self, elt):
-        R = self.ad_matrix(elt)
-        res = np.abs(self.h_basis @ R.T @ self.m_basis.T).max()
-        if res > 1e-8:
-            raise ValueError("element does not preserve the splitting (residual %.3e)" % res)
-        return self.m_basis @ R @ self.m_basis.T
-
-    def exp_isotropy(self, xi_h):
-        """Ad(exp xi) on m-coordinates for xi given in h-coordinates."""
-        xi = np.asarray(xi_h, dtype=float) @ self.h_basis
-        A = self.g.ad(xi)
-        return self.m_basis @ sla.expm(A) @ self.m_basis.T
+        return _ad_matrix(self.g, elt)
 
     def sample_isotropy(self, count, seed=0):
         """Orthogonal matrices Ad(h)|_m for h sampled from H.
@@ -339,9 +239,8 @@ def build_space(g, spec, name=None):
     for piece in pieces:
         kind = piece[0]
         if kind == "block":
-            idx = piece[1]
-            mats = _block_generators(g, idx)
-            gen_rows.extend(g.from_matrix(m) for m in mats)
+            idx = _block_indices(g, piece[1])
+            gen_rows.extend(g.from_matrix(m) for m in _block_generators(g.family, g.n, idx))
             torus_rows.extend(_block_torus(g, idx, torus_weights))
         elif kind == "circle":
             mat, w, note = _circle_generator(g, piece[1])
@@ -357,13 +256,10 @@ def build_space(g, spec, name=None):
             i = piece[1] - 1
             if i < 0 or i >= g.n:
                 raise ValueError("sp1_block index out of range")
-            units = _sp_diag_units(g.n, i)
-            rows = [g.from_matrix(_quat_to_real(A, B)) for (A, B) in units]
+            rows = [g.from_matrix(m) for m in _unit_generators("sp", g.n, i, i)]
             gen_rows.extend(rows)
             torus_rows.append(rows[0])  # the i-unit direction
-            w = np.zeros(g.n, dtype=int)
-            w[i] = 1
-            torus_weights.append(w)
+            torus_weights.append(np.eye(g.n, dtype=int)[i])
         elif kind == "explicit":
             has_explicit = True
             for m in piece[1]:
@@ -386,19 +282,14 @@ def build_space(g, spec, name=None):
 
     rank_h = subalgebra_rank(g, h_rows) if h_rows.shape[0] else 0
 
-    # maximal torus of h
-    if torus_rows and not has_explicit:
-        t_raw = np.stack(torus_rows)
-        t_on = _orthonormal_rows(t_raw)
-        weights = list(torus_weights)
+    # maximal torus of h: the lattice generators of the pieces when they
+    # span one, else nested centralizers
+    t_on = _orthonormal_rows(np.stack(torus_rows)) if torus_rows and not has_explicit else None
+    if t_on is not None and t_on.shape[0] == rank_h:
+        t_raw, weights = np.stack(torus_rows), list(torus_weights)
     else:
-        t_on = _numeric_torus(g, h_rows)
-        t_raw = t_on.copy()
-        weights = None
-    if t_on.shape[0] != rank_h:
-        t_on = _numeric_torus(g, h_rows)
-        t_raw = t_on.copy()
-        weights = None
+        t_on = _nested_centralizer_torus(g, h_rows, seed=97) if h_rows.shape[0] else np.zeros((0, g.dim))
+        t_raw, weights = t_on.copy(), None
         if t_on.shape[0] != rank_h:
             raise RuntimeError("failed to construct a maximal torus of the isotropy")
 
@@ -407,54 +298,23 @@ def build_space(g, spec, name=None):
 
 
 def _block_torus(g, idx, weights_out):
-    """Torus generators of a block piece, appending their weight vectors."""
+    """Torus generators of a block piece on the 0-based coordinates idx,
+    appending their weight vectors."""
     fam, n = g.family, g.n
-    rows = []
+    weights = []
     if fam == "su":
-        for a in range(len(idx) - 1):
-            i, j = idx[a] - 1, idx[a + 1] - 1
-            D = np.zeros((n, n), dtype=complex)
-            D[i, i] = 1j
-            D[j, j] = -1j
-            rows.append(g.from_matrix(_complex_to_real(D)))
+        for i, j in zip(idx, idx[1:]):
             w = np.zeros(n, dtype=int)
-            w[i] = 1
-            w[j] = -1
-            weights_out.append(w)
+            w[i], w[j] = 1, -1
+            weights.append(w)
     elif fam == "sp":
-        for a in range(len(idx)):
-            i = idx[a] - 1
-            A = np.zeros((n, n), dtype=complex)
-            A[i, i] = 1j
-            rows.append(g.from_matrix(_quat_to_real(A, np.zeros((n, n), dtype=complex))))
-            w = np.zeros(n, dtype=int)
-            w[i] = 1
-            weights_out.append(w)
-    elif fam == "so":
-        used = sorted(i - 1 for i in idx)
-        k = 0
-        while k + 1 < len(used):
-            i, j = used[k], used[k + 1]
-            if j == i + 1 and i % 2 == 0:
-                J = np.zeros((n, n))
-                J[i, j] = 1.0
-                J[j, i] = -1.0
-                rows.append(g.from_matrix(J))
-                w = np.zeros(n // 2, dtype=int)
-                w[i // 2] = 1
-                weights_out.append(w)
-                k += 2
-            else:
-                k += 1
-    return rows
-
-
-def _numeric_torus(g, h_rows, seed=97):
-    from .liealg import _nested_centralizer_torus
-
-    if h_rows.shape[0] == 0:
-        return np.zeros((0, g.dim))
-    return _nested_centralizer_torus(g, h_rows, seed=seed)
+        weights = [np.eye(n, dtype=int)[i] for i in idx]
+    else:
+        # so: the coordinate planes (2k, 2k+1) the block contains whole
+        used = set(idx)
+        weights = [np.eye(n // 2, dtype=int)[k] for k in range(n // 2) if {2 * k, 2 * k + 1} <= used]
+    weights_out.extend(weights)
+    return [g.from_matrix(_torus_matrix(fam, n, w)) for w in weights]
 
 
 def _assemble_space(g, h_rows, rank_h, t_on, t_raw, weights, notes):
@@ -563,20 +423,18 @@ def centralizer_subalgebra(g, elt):
         raise ValueError("element has the wrong realization size")
     if np.abs(elt @ elt.T - np.eye(elt.shape[0])).max() > 1e-9:
         raise ValueError("element is not in the group (orthogonality check failed)")
+    return null_rows(_ad_matrix(g, elt) - np.eye(g.dim), 1e-9)
+
+
+def _ad_matrix(g, elt):
+    """Ad(elt) on algebra coordinates: coordinates of elt b_a elt^T."""
     conj = np.einsum("ij,ajk,kl->ail", elt, g.basis, elt.T)
     R = -g.kappa * np.einsum("aij,bji->ba", conj, g.basis)
     recon = np.einsum("ba,bjk->ajk", R, g.basis)
-    if np.abs(recon - conj).max() > 1e-8:
-        raise ValueError("element is not in the group (the algebra is not preserved)")
-    return _null_space_abs(R - np.eye(g.dim), tol=1e-9)
-
-
-def _null_space_abs(A, tol=1e-9):
-    """Null space rows with an absolute singular value cutoff."""
-    U, S, Vt = np.linalg.svd(A, full_matrices=True)
-    svals = np.zeros(Vt.shape[0])
-    svals[: len(S)] = S
-    return Vt[svals < tol]
+    res = np.abs(recon - conj).max()
+    if res > 1e-8:
+        raise ValueError("element does not act on the algebra (residual %.3e)" % res)
+    return R
 
 
 def fixed_point_space(X, iota):
@@ -624,30 +482,6 @@ def fixed_point_space(X, iota):
 # ---------------------------------------------------------------------------
 
 
-def _planes_for_torus(L, torus_rows, domain_rows):
-    """Rotation planes of ad(torus) acting on the given invariant domain."""
-    primes = [2, 3, 5, 7, 11, 13, 17, 19]
-    torus_rows = np.atleast_2d(torus_rows)
-    r = torus_rows.shape[0]
-    if r == 0:
-        return [], _orthonormal_rows(domain_rows)
-    lam = np.sqrt(primes[:r])
-    lam /= np.linalg.norm(lam)
-    ops = [L.ad(lam @ torus_rows)] + [L.ad(t) for t in torus_rows]
-    blocks = _refine_invariant_planes(ops, _orthonormal_rows(domain_rows))
-    planes, zeros = [], []
-    for blk in blocks:
-        speed = max(np.abs(blk @ A @ blk.T).max() for A in ops)
-        if speed < 1e-8:
-            zeros.extend(blk)
-        elif blk.shape[0] == 2:
-            planes.append(blk)
-        else:
-            raise RuntimeError("torus refinement left a block of dimension %d" % blk.shape[0])
-    zeros = np.stack(zeros) if zeros else np.zeros((0, L.dim))
-    return planes, zeros
-
-
 def is_regular_subalgebra(X):
     """Whether every root of h restricts from a root of g.
 
@@ -668,7 +502,7 @@ def is_regular_subalgebra(X):
     # centralizer of t_H and the normalizer of h inside it
     if X.t_h.shape[0]:
         A = np.vstack([g.ad(t) for t in X.t_h])
-        z_rows = _null_space_abs(A, tol=1e-9)
+        z_rows = null_rows(A, 1e-9)
     else:
         z_rows = np.eye(g.dim)
     P_off = np.eye(g.dim) - X.h_basis.T @ X.h_basis
@@ -677,14 +511,16 @@ def is_regular_subalgebra(X):
         img = np.concatenate([P_off @ g.bracket(za, hb) for hb in X.h_basis])
         cols.append(img)
     M = np.stack(cols, axis=1)
-    null = _null_space_abs(M, tol=1e-8)
+    null = null_rows(M, 1e-8)
     n_rows = _orthonormal_rows(null @ z_rows) if null.shape[0] else np.zeros((0, g.dim))
     rank_norm = subalgebra_rank(g, n_rows) if n_rows.shape[0] else 0
     regular = rank_norm == g.rank
     report["normalizer_rank"] = int(rank_norm)
     report["rank_required"] = int(g.rank)
 
-    h_planes, _ = _planes_for_torus(g, X.t_h, X.h_basis)
+    h_planes, _ = torus_blocks(g.ad, X.t_h, _orthonormal_rows(X.h_basis))
+    if any(p.shape[0] != 2 for p in h_planes):
+        raise RuntimeError("torus refinement left a block that is not a plane")
     if not h_planes:
         report["matching"] = []
         report["vacuous"] = True
@@ -695,7 +531,9 @@ def is_regular_subalgebra(X):
     if regular:
         t_g = _cartan_within(g, n_rows, X.t_h)
         report["torus_extension_dim"] = int(t_g.shape[0])
-        g_planes, _ = _planes_for_torus(g, t_g, np.eye(g.dim))
+        g_planes, _ = torus_blocks(g.ad, t_g, np.eye(g.dim))
+        if any(p.shape[0] != 2 for p in g_planes):
+            raise RuntimeError("torus refinement left a block that is not a plane")
         for hp in h_planes:
             beta = [float(hp[1] @ g.ad(t) @ hp[0]) for t in X.t_h]
             best = None
@@ -722,7 +560,7 @@ def _cartan_within(g, span_rows, start_rows, seed=311):
     torus = _orthonormal_rows(start_rows)
     for _ in range(g.dim):
         A = np.vstack([g.ad(t) for t in torus]) if torus.shape[0] else np.zeros((1, g.dim))
-        cent = _null_space_abs(A, tol=1e-9)
+        cent = null_rows(A, 1e-9)
         cand = _intersect_spans(cent, span_rows)
         cand = _orthonormal_rows(cand - (cand @ torus.T) @ torus, tol=1e-9) if cand.size else cand
         if cand.shape[0] == 0:
@@ -730,7 +568,7 @@ def _cartan_within(g, span_rows, start_rows, seed=311):
         x = rng.standard_normal(cand.shape[0]) @ cand
         x /= np.linalg.norm(x)
         B = cand @ g.ad(x) @ cand.T
-        inner = _orthonormal_rows(_null_space_abs(B, tol=1e-9) @ cand)
+        inner = _orthonormal_rows(null_rows(B, 1e-9) @ cand)
         pick = inner[0] if inner.shape[0] else x
         torus = _orthonormal_rows(np.vstack([torus, pick]))
     return torus
@@ -764,33 +602,26 @@ def isotropy_invariant_decomposition(X):
     nm = X.dim_m
     if rt == 0:
         return InvariantDecomposition([np.eye(nm)], [tuple([0] * 0)], ["m0"])
-    ops = [X.m_basis @ g.ad(t) @ X.m_basis.T for t in X.t_h_raw]
-    primes = [2, 3, 5, 7, 11, 13, 17, 19]
-    lam = np.sqrt(primes[:rt])
-    lam /= np.linalg.norm(lam)
-    lead = np.einsum("i,ijk->jk", lam, np.stack(ops))
-    blocks = _refine_invariant_planes([lead] + ops, np.eye(nm))
 
+    def op(t):
+        return X.m_basis @ g.ad(t) @ X.m_basis.T
+
+    ops = [op(t) for t in X.t_h_raw]
+    rotating, zero_rows = torus_blocks(op, X.t_h_raw, np.eye(nm))
     entries = []
-    zero_rows = []
-    for blk in blocks:
-        rest = [blk @ A @ blk.T for A in ops]
-        if max(np.abs(R).max() for R in rest) < 1e-8:
-            zero_rows.extend(blk)
-            continue
-        # all planes in the block share one signature up to global sign;
-        # measure it coherently on a single invariant plane inside
-        Rl = blk @ lead @ blk.T
-        T, Z = sla.schur(Rl, output="real")
-        x, y = Z[:, 0], Z[:, 1]
-        speeds = np.array([float(y @ R @ x) for R in rest])
-        entries.append((speeds, blk))
+    for blk in rotating:
+        # the lead separates distinct signatures, so on the block every op is
+        # a multiple of one complex structure: the plane of a row and its
+        # image is invariant, and the speeds measured on it are coherent
+        x = blk[0]
+        y = max((A @ x for A in ops), key=np.linalg.norm)
+        y = y / np.linalg.norm(y)
+        entries.append((np.array([float(y @ A @ x) for A in ops]), blk))
 
     # integer signatures; weights from lattice-backed generators are already
     # integral, otherwise rescale globally by the smallest nonzero speed
     all_speeds = np.concatenate([np.abs(sig) for sig, _ in entries]) if entries else np.array([1.0])
-    raw = np.abs(np.concatenate([sig for sig, _ in entries])) if entries else np.array([1.0])
-    if np.abs(raw - np.round(raw)).max() > 1e-6:
+    if np.abs(all_speeds - np.round(all_speeds)).max() > 1e-6:
         scale = all_speeds[all_speeds > 1e-8].min()
     else:
         scale = 1.0
@@ -812,8 +643,8 @@ def isotropy_invariant_decomposition(X):
 
     summands = []
     signatures = []
-    if zero_rows:
-        summands.append(_orthonormal_rows(np.stack(zero_rows)))
+    if len(zero_rows):
+        summands.append(_orthonormal_rows(zero_rows))
         signatures.append(tuple([0] * rt))
     for key in sorted(groups):
         summands.append(_orthonormal_rows(np.vstack(groups[key])))
@@ -879,10 +710,13 @@ def invariant_blocks(X, seed=0):
         S = unpack(e)
         block = np.concatenate([(S @ A - A @ S).ravel() for A in ops])
         mat[:, col] = block
-    null = sla.null_space(mat, rcond=1e-10)
+    null = null_rows(mat, 1e-10)
     rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(null.shape[1])
-    S = unpack(null @ coeffs)
+    coeffs = rng.standard_normal(null.shape[0])
+    # kernel vectors as contiguous columns: the basis eigh returns inside a
+    # degenerate eigenvalue of S, and so every pole later maximized over a
+    # block, follows the last bits of this product
+    S = unpack(np.ascontiguousarray(null.T) @ coeffs)
     S = 0.5 * (S + S.T)
     vals, vecs = np.linalg.eigh(S)
     spread = max(vals.max() - vals.min(), 1.0)

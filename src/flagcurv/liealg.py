@@ -58,72 +58,79 @@ def _quat_to_real(A, B):
     return _complex_to_real(_quat_to_complex(A, B))
 
 
-def _su_matrices(n):
-    mats = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            A = np.zeros((n, n), dtype=complex)
-            A[i, j] = 1.0
-            A[j, i] = -1.0
-            mats.append(_complex_to_real(A))
-            B = np.zeros((n, n), dtype=complex)
-            B[i, j] = 1j
-            B[j, i] = 1j
-            mats.append(_complex_to_real(B))
-    for k in range(n - 1):
-        D = np.zeros((n, n), dtype=complex)
-        D[k, k] = 1j
-        D[k + 1, k + 1] = -1j
-        mats.append(_complex_to_real(D))
-    return mats
+def _hermitian_units(n, i, j):
+    """Complex units e_ij - e_ji and i(e_ij + e_ji) of u(n), for i != j."""
+    A = np.zeros((n, n), dtype=complex)
+    A[i, j] = 1.0
+    A[j, i] = -1.0
+    B = np.zeros((n, n), dtype=complex)
+    B[i, j] = 1j
+    B[j, i] = 1j
+    return [A, B]
 
 
-def _so_matrices(n):
-    mats = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            A = np.zeros((n, n))
-            A[i, j] = 1.0
-            A[j, i] = -1.0
-            mats.append(A)
-    return mats
+def _unit_generators(family, n, i, j):
+    """Realized unit generators of su(n), sp(n) or so(n) on the 0-based entry (i, j).
 
-
-def _sp_matrices(n):
-    mats = []
+    i != j gives the off-diagonal units; i == j (sp only) the three
+    quaternionic units on the diagonal.  The diagonal generators of su are
+    torus generators (_torus_matrix).
+    """
+    if family == "so":
+        A = np.zeros((n, n))
+        A[i, j] = 1.0
+        A[j, i] = -1.0
+        return [A]
+    if family == "su":
+        return [_complex_to_real(Z) for Z in _hermitian_units(n, i, j)]
     zero = np.zeros((n, n), dtype=complex)
-
-    def emit(A, B):
-        mats.append(_quat_to_real(A, B))
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            A = zero.copy()
-            A[i, j] = 1.0
-            A[j, i] = -1.0
-            emit(A, zero)
-            A = zero.copy()
-            A[i, j] = 1j
-            A[j, i] = 1j
-            emit(A, zero)
-            B = zero.copy()
-            B[i, j] = 1.0
-            B[j, i] = 1.0
-            emit(zero, B)
-            B = zero.copy()
-            B[i, j] = 1j
-            B[j, i] = 1j
-            emit(zero, B)
-    for k in range(n):
+    if i == j:
         A = zero.copy()
-        A[k, k] = 1j
-        emit(A, zero)
+        A[i, i] = 1j
+        complex_part = [A]
+    else:
+        complex_part = _hermitian_units(n, i, j)
+    j_part = []
+    for val in (1.0, 1j):
         B = zero.copy()
-        B[k, k] = 1.0
-        emit(zero, B)
-        B = zero.copy()
-        B[k, k] = 1j
-        emit(zero, B)
+        B[i, j] = val
+        B[j, i] = val
+        j_part.append(B)
+    return [_quat_to_real(A, zero) for A in complex_part] + [_quat_to_real(zero, B) for B in j_part]
+
+
+def _torus_matrix(family, n, weights):
+    """Realized torus generator with the given integer weights.
+
+    su and sp act by i*w_k on the k-th coordinate (su weights are projected
+    to the traceless part); so rotates the k-th coordinate plane at speed w_k.
+    """
+    if family == "so":
+        J = np.zeros((n, n))
+        for k, w in enumerate(weights):
+            J[2 * k, 2 * k + 1] = w
+            J[2 * k + 1, 2 * k] = -w
+        return J
+    D = np.diag(1j * np.asarray(weights, dtype=float))
+    if family == "su":
+        D = D - np.trace(D) / n * np.eye(n)
+        return _complex_to_real(D)
+    return _quat_to_real(D, np.zeros((n, n), dtype=complex))
+
+
+def _block_generators(family, n, idx):
+    """Realized generators of the same-family sub-block on the 0-based coordinates idx."""
+    mats = []
+    for a, i in enumerate(idx):
+        for j in idx[a + 1 :]:
+            mats.extend(_unit_generators(family, n, i, j))
+        if family == "sp":
+            mats.extend(_unit_generators(family, n, i, i))
+    if family == "su":
+        for i, j in zip(idx, idx[1:]):
+            w = np.zeros(n, dtype=int)
+            w[i], w[j] = 1, -1
+            mats.append(_torus_matrix(family, n, w))
     return mats
 
 
@@ -151,10 +158,10 @@ def _g2_matrices():
                     row[m, i] -= f[m, j, k]
                     row[m, j] -= f[i, m, k]
                 rows.append(row.ravel())
-    null = sla.null_space(np.stack(rows), rcond=1e-10)
-    if null.shape[1] != 14:
+    null = null_rows(np.stack(rows), 1e-10)
+    if null.shape[0] != 14:
         raise RuntimeError("octonion derivation solve did not give a 14-dimensional algebra")
-    return [null[:, k].reshape(7, 7) for k in range(null.shape[1])]
+    return [row.reshape(7, 7) for row in null]
 
 
 def _family_dim(family, n):
@@ -232,10 +239,6 @@ class LieAlgebra:
     def norm(self, x):
         return float(np.sqrt(max(self.inner(x, x), 0.0)))
 
-    def pair_inner(self, A, B):
-        """Invariant form evaluated directly on realized matrices."""
-        return -self.kappa * float(np.einsum("ij,ji->", A, B))
-
     # -- invariant checks ---------------------------------------------------
 
     def antisymmetry_residual(self):
@@ -280,34 +283,10 @@ class LieAlgebra:
         if "cartan" in self._cache:
             return self._cache["cartan"]
         fam, n = self.family, self.n
-        if fam == "su":
-            lattice = []
-            for k in range(n):
-                D = np.zeros((n, n), dtype=complex)
-                D[k, k] = 1j
-                D -= np.trace(D) / n * np.eye(n)
-                lattice.append(self.from_matrix(_complex_to_real(D)))
-            lattice = np.stack(lattice)
-            cartan = _orthonormal_rows(lattice[: n - 1])
-        elif fam == "sp":
-            zero = np.zeros((n, n), dtype=complex)
-            lattice = []
-            for k in range(n):
-                A = zero.copy()
-                A[k, k] = 1j
-                lattice.append(self.from_matrix(_quat_to_real(A, zero)))
-            lattice = np.stack(lattice)
-            cartan = _orthonormal_rows(lattice)
-        elif fam == "so":
-            r = n // 2
-            lattice = []
-            for k in range(r):
-                J = np.zeros((n, n))
-                J[2 * k, 2 * k + 1] = 1.0
-                J[2 * k + 1, 2 * k] = -1.0
-                lattice.append(self.from_matrix(J))
-            lattice = np.stack(lattice)
-            cartan = _orthonormal_rows(lattice)
+        if fam in ("su", "sp", "so"):
+            units = np.eye(n // 2 if fam == "so" else n, dtype=int)
+            lattice = np.stack([self.from_matrix(_torus_matrix(fam, n, w)) for w in units])
+            cartan = _orthonormal_rows(lattice[: n - 1] if fam == "su" else lattice)
         elif fam == "g2":
             cartan = _nested_centralizer_torus(self, np.eye(self.dim), seed=2024)
             lattice = None
@@ -331,6 +310,30 @@ def _orthonormal_rows(rows, tol=1e-12):
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
     keep = s > tol * max(1.0, s[0] if len(s) else 1.0)
     return vt[keep]
+
+
+def null_rows(A, tol):
+    """Orthonormal rows spanning the kernel of A.
+
+    These are the rows of Vt whose singular value is at most
+    tol * max(1, s_max), the cutoff _orthonormal_rows uses for the row span.
+    The full Vt is formed only for a wide A; a tall A gets the economy SVD
+    and never its full U.  LAPACK gesdd is called through scipy.linalg.lapack
+    with the workspace scipy.linalg.svd asks for, so the bases match
+    scipy.linalg.null_space (numpy's LAPACK rotates some degenerate kernels,
+    and with them the commutant element invariant_blocks draws) without the
+    svd wrapper, which costs more than the search's small SVDs themselves.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    m, n = A.shape
+    wide = int(m < n)
+    lwork = int(sla.lapack.dgesdd_lwork(m, n, compute_uv=1, full_matrices=wide)[0])
+    _, s, vt, info = sla.lapack.dgesdd(A, compute_uv=1, full_matrices=wide, lwork=lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError("SVD did not converge (gesdd info %d)" % info)
+    svals = np.zeros(vt.shape[0])
+    svals[: len(s)] = s
+    return vt[svals <= tol * max(1.0, svals[0])]
 
 
 def _from_matrices(family, n, mats, kappa, notes=None):
@@ -374,18 +377,15 @@ def build_lie_algebra(family, n=0):
     su requires n >= 1, sp requires n >= 1, so requires n >= 3; n is ignored
     for g2.
     """
-    if family == "su":
-        if n < 1:
-            raise UnsupportedAlgebraError("unsupported algebra: su(%d)" % n)
-        mats = _su_matrices(n)
-    elif family == "sp":
-        if n < 1:
-            raise UnsupportedAlgebraError("unsupported algebra: sp(%d)" % n)
-        mats = _sp_matrices(n)
-    elif family == "so":
-        if n < 3:
-            raise UnsupportedAlgebraError("unsupported algebra: so(%d)" % n)
-        mats = _so_matrices(n)
+    if family in ("su", "sp", "so"):
+        if n < (3 if family == "so" else 1):
+            raise UnsupportedAlgebraError("unsupported algebra: %s(%d)" % (family, n))
+        if family == "sp":
+            # off-diagonal units first, then the diagonal ones
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] + [(k, k) for k in range(n)]
+            mats = [m for (i, j) in pairs for m in _unit_generators("sp", n, i, j)]
+        else:
+            mats = _block_generators(family, n, list(range(n)))
     elif family == "g2":
         mats = _g2_matrices()
         n = 0
@@ -435,11 +435,7 @@ class RootDatum:
         return float(y @ (self.algebra.ad(t) @ x))
 
     def plane_for_root(self, root):
-        root = np.asarray(root, dtype=int)
-        for k in range(self.n_pairs):
-            if np.array_equal(self.roots[k], root) or np.array_equal(self.roots[k], -root):
-                return self.planes[k]
-        raise KeyError("no root pair %s" % (tuple(root),))
+        return self.planes[self.index_for_root(root)]
 
     def index_for_root(self, root):
         root = np.asarray(root, dtype=int)
@@ -521,6 +517,42 @@ def _refine_invariant_planes(ops, basis, tol=SPEED_CLUSTER_TOL):
     return blocks
 
 
+def _first_primes(r):
+    """The first r primes, by trial division."""
+    primes = []
+    k = 2
+    while len(primes) < r:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def torus_blocks(op, torus_rows, basis):
+    """Split the span of basis rows into blocks rotated at one speed by a torus.
+
+    op maps an element of the torus to its skew operator; torus_rows span the
+    torus and basis rows an op-invariant subspace.  The refinement leads with
+    op(lam . torus_rows), lam the normalized square roots of the first
+    primes, whose speeds separate any two distinct integer weights; the op of
+    each torus row then only orients the blocks.  The within-plane basis from
+    the Schur form is arbitrary, so the lead is op of the combined element
+    rather than the combination of the ops: that form fixes the planes.
+
+    Returns (rotating blocks, zero rows), blocks as orthonormal rows.
+    """
+    lam = np.sqrt(_first_primes(len(torus_rows)))
+    lam /= np.linalg.norm(lam)
+    ops = [op(lam @ torus_rows)] + [op(t) for t in torus_rows]
+    rotating, zero_rows = [], []
+    for blk in _refine_invariant_planes(ops, basis):
+        if max(np.abs(blk @ A @ blk.T).max() for A in ops) < SPEED_CLUSTER_TOL:
+            zero_rows.extend(blk)
+        else:
+            rotating.append(blk)
+    return rotating, np.array(zero_rows).reshape(len(zero_rows), basis.shape[1])
+
+
 def root_decomposition(L, cartan, lattice=None):
     """Decompose L into root planes for the given Cartan subalgebra.
 
@@ -545,29 +577,15 @@ def root_decomposition(L, cartan, lattice=None):
             "cartan has dimension %d but the algebra has rank %d" % (cart_on.shape[0], expected)
         )
 
-    # Lead with a generic combination whose sqrt-prime coefficients separate
-    # any two distinct integer covectors; the individual generators then
-    # only orient the planes.
-    primes = [2, 3, 5, 7, 11, 13, 17, 19]
-    lam = np.sqrt(primes[:r])
-    lam /= np.linalg.norm(lam)
-    h0 = lam @ cart_on
-    ops = [L.ad(h0)] + [L.ad(t) for t in cart_on]
-    blocks = _refine_invariant_planes(ops, np.eye(L.dim))
-    planes, zero_rows = [], []
-    for blk in blocks:
-        speed = max(np.abs(blk @ A @ blk.T).max() for A in ops)
-        if speed < SPEED_CLUSTER_TOL:
-            zero_rows.extend(blk)
-        elif blk.shape[0] == 2:
-            planes.append(blk.T.copy())
-        else:
+    rotating, zero_space = torus_blocks(L.ad, cart_on, np.eye(L.dim))
+    for blk in rotating:
+        if blk.shape[0] != 2:
             raise RuntimeError(
                 "simultaneous refinement failed to isolate a root plane (block dim %d)" % blk.shape[0]
             )
-    if 2 * len(planes) + len(zero_rows) != L.dim:
+    planes = [blk.T.copy() for blk in rotating]
+    if 2 * len(planes) + len(zero_space) != L.dim:
         raise RuntimeError("root plane decomposition does not fill the algebra")
-    zero_space = np.stack(zero_rows) if zero_rows else np.zeros((0, L.dim))
 
     # orient each plane and measure covectors
     def covector(plane, elts):
@@ -690,8 +708,7 @@ def _nested_centralizer_torus(L, span_rows, seed=2024):
         x /= np.linalg.norm(x)
         torus = _orthonormal_rows(np.vstack([torus, x[None, :]]) if torus.size else x[None, :])
         A = current @ L.ad(x) @ current.T
-        null = sla.null_space(A, rcond=1e-9)
-        cent = _orthonormal_rows((null.T @ current))
+        cent = _orthonormal_rows(null_rows(A, 1e-9) @ current)
         # directions in the centralizer, orthogonal to the torus so far
         proj = cent - (cent @ torus.T) @ torus
         current = _orthonormal_rows(proj, tol=1e-9)

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import numdiff
 from .homspace import invariant_blocks
+from .liealg import null_rows
 
 CONVEXITY_DIRECTIONS = 4096
 
@@ -411,10 +412,7 @@ def _fixed_vector(X):
     if X.dim_h == 0:
         return None
     ops = np.vstack([X.m_basis @ X.g.ad(h) @ X.m_basis.T for h in X.h_basis])
-    U, S, Vt = np.linalg.svd(ops)
-    svals = np.zeros(Vt.shape[0])
-    svals[: len(S)] = S
-    null = Vt[svals < 1e-9]
+    null = null_rows(ops, 1e-9)
     if null.shape[0] == 0:
         return None
     return null[0]

@@ -238,10 +238,11 @@ def test_full_tensor_oracle_on_invariant_metric(sp2):
         assert abs(k1 - k2) < 1e-12
 
 
-def test_nonflat_flag_matches_full_tensor_oracle(sp2):
+@pytest.fixture(scope="module")
+def coupled_sp2(sp2):
     # the circle with weights (3,1) leaves two planes rotating at the same
     # speed; an invariant metric coupling them produces a commuting flag of
-    # genuinely positive curvature.  Expected value frozen from the oracle.
+    # genuinely positive curvature.
     from flagcurv.homspace import SubalgebraSpec
 
     X = build_space(sp2, [SubalgebraSpec.circle(3, 1)])
@@ -259,6 +260,12 @@ def test_nonflat_flag_matches_full_tensor_oracle(sp2):
 
     u = X.m_vector(root=(2, 0), xy=(0.9, 0.45))
     v = X.m_vector(root=(0, 2), xy=(0.2, -1.1))
+    return X, Q, F, u, v
+
+
+def test_nonflat_flag_matches_full_tensor_oracle(coupled_sp2):
+    # expected value frozen from the oracle
+    X, Q, F, u, v = coupled_sp2
     cert = flag_curvature(X, F, u, v)
     assert cert.verdict == "positive"
     assert cert.zero_residuals[0] < 1e-10  # the formula hypothesis holds
@@ -266,3 +273,12 @@ def test_nonflat_flag_matches_full_tensor_oracle(sp2):
     k_oracle = _full_tensor_sectional(X, Q, u, v)
     assert abs(cert.curvature - k_oracle) < 1e-12
     assert abs(cert.curvature - 17.0 / 468.0) < 1e-12
+
+
+def test_small_curvature_with_failing_residuals_is_inconclusive(coupled_sp2):
+    # K = 17/468 lies below a zero-curvature tolerance of 1 while the
+    # second flatness residual fails: neither flat nor positive is shown
+    X, Q, F, u, v = coupled_sp2
+    cert = flag_curvature(X, F, u, v, tolerances={"zero_curvature": 1.0})
+    assert cert.zero_residuals[1] > 1e-3
+    assert cert.verdict == "inconclusive"

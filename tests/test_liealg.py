@@ -6,6 +6,7 @@ from flagcurv.liealg import (
     build_lie_algebra,
     bracket,
     format_root,
+    null_rows,
     root_decomposition,
 )
 
@@ -86,6 +87,44 @@ def test_su_root_count():
     for n in (3, 4, 5):
         L = build_lie_algebra("su", n)
         assert L.root_datum().n_pairs == n * (n - 1) // 2
+
+
+def test_root_datum_beyond_rank_eight():
+    # the refinement lead takes one prime per torus direction, so rank 9
+    # needs a ninth prime
+    L = build_lie_algebra("su", 10)
+    datum = L.root_datum()
+    assert datum.n_pairs == 45
+    expected = set()
+    for i in range(10):
+        for j in range(i + 1, 10):
+            e = np.zeros(10, dtype=int)
+            e[i], e[j] = 1, -1
+            expected.add(tuple(e))
+    assert {tuple(int(c) for c in r) for r in datum.roots} == expected
+
+
+def test_null_rows_cutoff():
+    rng = np.random.default_rng(3)
+    Q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    # tall: two zero singular values among six columns
+    tall = rng.standard_normal((9, 6)) @ np.diag([3.0, 2.0, 1.0, 0.5, 0.0, 0.0]) @ Q.T
+    ker = null_rows(tall, 1e-9)
+    assert ker.shape == (2, 6)
+    assert np.abs(tall @ ker.T).max() < 1e-12
+    assert np.abs(ker @ ker.T - np.eye(2)).max() < 1e-12
+    # wide: the kernel includes the rows beyond the singular values
+    wide = rng.standard_normal((3, 7))
+    ker = null_rows(wide, 1e-9)
+    assert ker.shape == (4, 7)
+    assert np.abs(wide @ ker.T).max() < 1e-12
+    # scaled: the cutoff is tol * max(1, s_max), relative to s_max above 1
+    # and absolute below it; singular values here are c, c * 1e-8 and 0
+    A = np.diag([1.0, 1e-8, 0.0]) @ np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    assert null_rows(A, 1e-9).shape[0] == 1
+    assert null_rows(1e3 * A, 1e-9).shape[0] == 1  # 1e-5 > 1e-6
+    assert null_rows(1e3 * A, 1e-7).shape[0] == 2  # 1e-5 <= 1e-4; an absolute 1e-7 would keep it
+    assert null_rows(1e-3 * A, 1e-9).shape[0] == 2  # 1e-11 <= 1e-9; a relative 1e-12 would keep it
 
 
 def test_g2_root_structure(g2):
