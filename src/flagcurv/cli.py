@@ -523,7 +523,7 @@ def main(argv=None):
             raise SpecError("/task/name", "file task %r does not match command %r" % (spec["task"]["name"], args.command))
         if args.command == "find-flat":
             if args.budget is not None:
-                spec["task"]["budget"] = args.budget
+                spec["task"]["budget"] = _check_int(args.budget, "/task/budget", lo=1, hi=100000)
             if args.seed is not None:
                 spec["task"]["seed"] = args.seed
         if args.command == "verify-example" and args.example_id is not None:

@@ -58,6 +58,23 @@ def _bracket_rows(X, u):
     return np.einsum("ijk,j->ik", X.m_bracket_tensor(), u)
 
 
+def _flatness_vectors(X, gram, u, v):
+    """<[w_i,u]_m, u>_u, <[w_i,u]_m, v>_u and <[w_i,v]_m, u>_u over the m-basis."""
+    bug = _bracket_rows(X, u) @ gram
+    bvg = _bracket_rows(X, v) @ gram
+    return bug @ u, bug @ v, bvg @ u
+
+
+def _solve_u(gram, rhs):
+    """U with gram @ U = rhs, and the solve residual."""
+    try:
+        cho = sla.cho_factor(gram)
+    except np.linalg.LinAlgError:
+        raise ValueError("norm not strongly convex at u: Gram matrix is not positive definite")
+    U = sla.cho_solve(cho, rhs)
+    return U, float(np.abs(gram @ U - rhs).max())
+
+
 def u_tensor(X, F, u, v, gram=None, return_residual=False):
     """Solve for U in m with <U, w>_u = ([w,u]_m.v + [w,v]_m.u)_u / 2.
 
@@ -69,18 +86,9 @@ def u_tensor(X, F, u, v, gram=None, return_residual=False):
     v = np.asarray(v, dtype=float)
     if gram is None:
         gram = fundamental_tensor(F, u).gram
-    bu = _bracket_rows(X, u)
-    bv = _bracket_rows(X, v)
-    rhs = 0.5 * (bu @ gram @ v + bv @ gram @ u)
-    try:
-        cho = sla.cho_factor(gram)
-    except np.linalg.LinAlgError:
-        raise ValueError("norm not strongly convex at u: Gram matrix is not positive definite")
-    U = sla.cho_solve(cho, rhs)
-    if return_residual:
-        res = float(np.abs(gram @ U - rhs).max())
-        return U, res
-    return U
+    _, ruv, rvu = _flatness_vectors(X, gram, u, v)
+    U, res = _solve_u(gram, 0.5 * (ruv + rvu))
+    return (U, res) if return_residual else U
 
 
 def zero_conditions_residual(X, F, u, v, gram=None):
@@ -91,12 +99,7 @@ def zero_conditions_residual(X, F, u, v, gram=None):
         raise ValueError("u must be nonzero")
     if gram is None:
         gram = fundamental_tensor(F, u).gram
-    bu = _bracket_rows(X, u)
-    bv = _bracket_rows(X, v)
-    r1 = float(np.abs(bu @ gram @ u).max())
-    r2 = float(np.abs(bu @ gram @ v).max())
-    r3 = float(np.abs(bv @ gram @ u).max())
-    return r1, r2, r3
+    return tuple(float(np.abs(r).max()) for r in _flatness_vectors(X, gram, u, v))
 
 
 def flag_curvature(X, F, u, v, tolerances=None, gram_method="auto", gram_step=None):
@@ -148,11 +151,12 @@ def flag_curvature(X, F, u, v, tolerances=None, gram_method="auto", gram_step=No
         return failed("[u, v] != 0", {"commutator_residual": comm})
 
     gram = fundamental_tensor(F, un, method=gram_method, step=gram_step).gram
-    r1, r2, r3 = zero_conditions_residual(X, F, un, vn, gram=gram)
+    ruu, ruv, rvu = _flatness_vectors(X, gram, un, vn)
+    r1, r2, r3 = (float(np.abs(r).max()) for r in (ruu, ruv, rvu))
     if r1 > tol["precondition"]:
         return failed("<[u,m]_m, u>_u != 0", {"first_condition_residual": r1})
 
-    U, solve_res = u_tensor(X, F, un, vn, gram=gram, return_residual=True)
+    U, solve_res = _solve_u(gram, 0.5 * (ruv + rvu))
     guu = float(un @ gram @ un)
     gvv = float(vn @ gram @ vn)
     guv = float(un @ gram @ vn)

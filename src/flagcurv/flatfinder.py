@@ -25,9 +25,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .liealg import build_lie_algebra, _orthonormal_rows, null_rows
-from .homspace import SubalgebraSpec, build_space
+from .homspace import SubalgebraSpec, ad_rotation_speeds, build_space
 from .minkowski import make_norm, fundamental_tensor
-from .curvature import flag_curvature
+from .curvature import _bracket_rows, flag_curvature
 
 CLOSURE_TOL = 1e-10
 DEFAULT_EPSILONS = (0.05, 0.1, 0.2)
@@ -439,14 +439,8 @@ def _example3(params, epsilons, seed, u_angle, v_angle):
     for k, eps in enumerate(epsilons):
         F = make_norm("quartic_perturbed", {"epsilon": eps}, X, seed=seed + k)
         flags.append(FlagInstance(norm=F, u=u, v=v))
-    notes = {"speeds": [s for (_, _, s) in _speeds_of(X, (p, q))]}
+    notes = {"speeds": [s for (_, _, s) in ad_rotation_speeds(X, [p, q])]}
     return ExampleConstruction(3, params, X, flags, notes)
-
-
-def _speeds_of(X, weights):
-    from .homspace import ad_rotation_speeds
-
-    return ad_rotation_speeds(X, list(weights))
 
 
 def _example4(params, epsilons, seed, u_angle, v_angle):
@@ -473,7 +467,7 @@ def _example4(params, epsilons, seed, u_angle, v_angle):
         aux = {
             "pole_reversal_residual": float(np.linalg.norm(R @ un + un)),
             "gram_preservation_residual": float(np.abs(R.T @ G @ R - G).max()),
-            "speeds": [s for (_, _, s) in _speeds_of(X, (1, 3, 4))],
+            "speeds": [s for (_, _, s) in ad_rotation_speeds(X, [1, 3, 4])],
         }
         flags.append(FlagInstance(norm=F, u=u, v=v, aux=aux))
     return ExampleConstruction(4, params, X, flags, {"torus_element": "weights (1,3,4) at angle pi/6"})
@@ -608,15 +602,12 @@ def _commutant_in_m(X, u):
     return _orthonormal_rows(ker, tol=1e-9)
 
 
-def _residual_form(X, F, u, gram=None):
+def _residual_form(X, F, u):
     """PSD form A and constant c with residual(u, v) = v'Av + c."""
-    if gram is None:
-        gram = F.gram(u / np.linalg.norm(u), method="closed")
     un = u / np.linalg.norm(u)
-    bm = X.m_bracket_tensor()
-    bu = np.einsum("ijk,j->ik", bm, un)
-    M1 = bu @ gram  # rows: <[w_i,u]_m, .>_u
-    M2 = np.einsum("ijk,k->ij", bm, gram @ un)  # entry (i,j): <[w_i, e_j]_m, u>_u
+    gram = F.gram(un, method="closed")
+    M1 = _bracket_rows(X, un) @ gram  # rows: <[w_i,u]_m, .>_u
+    M2 = np.einsum("ijk,k->ij", X.m_bracket_tensor(), gram @ un)  # entry (i,j): <[w_i, e_j]_m, u>_u
     r1 = M1 @ un
     A = M1.T @ M1 + M2.T @ M2
     return A, float(r1 @ r1)
@@ -635,9 +626,9 @@ def generic_flat_search(X, F, budget=200, seed=0, tolerances=None):
     nm = X.dim_m
     starts = []
     for root in sorted(X.plane_slices):
-        starts.append(X.m_vector(root=root, xy=(1.0, 0.0)))
         if len(starts) >= budget:
             break
+        starts.append(X.m_vector(root=root, xy=(1.0, 0.0)))
     while len(starts) < budget:
         w = rng.standard_normal(nm)
         starts.append(w / np.linalg.norm(w))

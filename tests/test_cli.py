@@ -175,6 +175,9 @@ def test_find_flat_cli_overrides(tmp_path, capsys):
     assert report["payload"]["budget"] == 12
     assert report["payload"]["seed"] == 4
     assert report["payload"]["certified_count"] >= 1
+    # the override is held to the same bounds as the spec's budget
+    for budget in ("0", "100001"):
+        assert main(["find-flat", _write(tmp_path, doc), "--budget", budget]) == 2
 
 
 def test_reports_are_byte_stable(tmp_path):

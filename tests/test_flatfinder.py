@@ -170,6 +170,7 @@ def test_extremal_isotropic_restriction(sp2_circle21):
 
 def test_search_finds_the_catalog3_orbit(sp2_circle21):
     F = make_norm("quartic_perturbed", {"epsilon": 0.1}, sp2_circle21, seed=3)
+    assert generic_flat_search(sp2_circle21, F, budget=0, seed=0) == []
     certs = generic_flat_search(sp2_circle21, F, budget=60, seed=0)
     flats = [c for c in certs if c.verdict == "zero_flag"]
     assert len(flats) >= 1

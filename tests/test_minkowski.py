@@ -200,10 +200,20 @@ def test_alpha_beta_closed_hessian_fuzz(su4_onecircle):
 
 
 def test_quartic_internal_closed_form_matches_fd(sp2_circle21, quartic):
-    # the search guidance path must agree with the official FD evaluation
+    # the search guidance path must agree with the official FD evaluation,
+    # also for terms that are not projectors (a non-orthogonal pullback), for
+    # an empty term list and for a negative epsilon
     rng = np.random.default_rng(123)
-    for _ in range(8):
-        u = rng.standard_normal(quartic.dim)
-        u /= np.linalg.norm(u)
-        diff = np.abs(quartic.gram(u, method="fd") - quartic.gram(u, method="closed")).max()
-        assert diff < 1e-7, diff
+    S = np.eye(quartic.dim) + 0.3 * np.random.default_rng(1).standard_normal((quartic.dim, quartic.dim))
+    norms = (
+        quartic,
+        quartic.transform(S),
+        MinkowskiNorm("quartic_perturbed", quartic.dim, quartic.q, quartic_terms=[], epsilon=0.1),
+        make_norm("quartic_perturbed", {"epsilon": -0.05}, sp2_circle21, seed=3),
+    )
+    for F in norms:
+        for _ in range(8):
+            u = rng.standard_normal(F.dim)
+            u /= np.linalg.norm(u)
+            diff = np.abs(F.gram(u, method="fd") - F.gram(u, method="closed")).max()
+            assert diff < 1e-7, diff
