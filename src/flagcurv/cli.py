@@ -245,7 +245,7 @@ def validate_spec(doc):
     kind = met.get("kind", "quartic_perturbed")
     if kind not in ("riemannian", "alpha_beta", "quartic_perturbed"):
         raise SpecError("/metric/kind", "unknown metric kind %r" % kind)
-    metric = {"kind": kind, "seed": _check_int(met.get("seed", 0), "/metric/seed")}
+    metric = {"kind": kind, "seed": _check_int(met.get("seed", 0), "/metric/seed", lo=0)}
     if "epsilon" in met:
         metric["epsilon"] = _check_num(met["epsilon"], "/metric/epsilon", positive=True)
     for key in ("block_scales", "weights", "phi", "v0"):
@@ -269,7 +269,7 @@ def validate_spec(doc):
             t[key] = _validate_vector(task[key], "/task/%s" % key)
     if name == "find-flat":
         t["budget"] = _check_int(task.get("budget", 100), "/task/budget", lo=1, hi=100000)
-        t["seed"] = _check_int(task.get("seed", 0), "/task/seed")
+        t["seed"] = _check_int(task.get("seed", 0), "/task/seed", lo=0)
     if name == "verify-example":
         if "example_id" in task:
             t["example_id"] = _check_int(task["example_id"], "/task/example_id", lo=1, hi=5)
@@ -277,7 +277,7 @@ def validate_spec(doc):
         _require_keys(params, "/task/params", (), ("p", "q"))
         t["params"] = {k: _check_int(v, "/task/params/%s" % k) for k, v in params.items()}
         t["epsilons"] = _check_num_list(task.get("epsilons", [0.05, 0.1, 0.2]), "/task/epsilons")
-        t["seed"] = _check_int(task.get("seed", 0), "/task/seed")
+        t["seed"] = _check_int(task.get("seed", 0), "/task/seed", lo=0)
         t["u_angle"] = _check_num(task.get("u_angle", 0.35), "/task/u_angle")
         t["v_angle"] = _check_num(task.get("v_angle", -0.6), "/task/v_angle")
     if name == "check-space":
@@ -525,7 +525,7 @@ def main(argv=None):
             if args.budget is not None:
                 spec["task"]["budget"] = _check_int(args.budget, "/task/budget", lo=1, hi=100000)
             if args.seed is not None:
-                spec["task"]["seed"] = args.seed
+                spec["task"]["seed"] = _check_int(args.seed, "/task/seed", lo=0)
         if args.command == "verify-example" and args.example_id is not None:
             if not 1 <= args.example_id <= 5:
                 raise SpecError("/task/example_id", "id must be between 1 and 5")

@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .liealg import build_lie_algebra, _orthonormal_rows, null_rows
+from .liealg import build_lie_algebra, _orthonormal_rows
 from .homspace import SubalgebraSpec, ad_rotation_speeds, build_space
 from .minkowski import make_norm, fundamental_tensor
-from .curvature import _bracket_rows, flag_curvature
+from .curvature import flag_curvature
 
 CLOSURE_TOL = 1e-10
 DEFAULT_EPSILONS = (0.05, 0.1, 0.2)
@@ -591,26 +591,19 @@ def verify_closure_claims(example, m_prime=None, flag_index=0, tol=CLOSURE_TOL):
 # ---------------------------------------------------------------------------
 
 
-def _commutant_in_m(X, u):
-    """Kernel of w -> [u, w] on m (full bracket), excluding the pole line."""
-    B = np.einsum("ije,i->ej", X.full_bracket_tensor(), u)
-    ker = null_rows(B, 1e-9)
-    if ker.shape[0] == 0:
-        return ker
-    un = u / np.linalg.norm(u)
-    ker = ker - np.outer(ker @ un, un)
-    return _orthonormal_rows(ker, tol=1e-9)
-
-
-def _residual_form(X, F, u):
-    """PSD form A and constant c with residual(u, v) = v'Av + c."""
-    un = u / np.linalg.norm(u)
-    gram = F.gram(un, method="closed")
-    M1 = _bracket_rows(X, un) @ gram  # rows: <[w_i,u]_m, .>_u
-    M2 = np.einsum("ijk,k->ij", X.m_bracket_tensor(), gram @ un)  # entry (i,j): <[w_i, e_j]_m, u>_u
-    r1 = M1 @ un
-    A = M1.T @ M1 + M2.T @ M2
-    return A, float(r1 @ r1)
+def _commutant_in_m(X, U):
+    """Commutants in m of the rows u of U, pole line excluded, as (Vt, k):
+    row n's is Vt[n, dim m - k[n]:].  One stacked SVD of [B(u); u/|u|] with
+    B(u) w = [u, w] (full bracket): as B(u) u = 0, the appended row lifts
+    the pole's zero singular value to 1 and leaves the null_rows cutoff
+    s <= 1e-9 max(1, s_max) as it is.  dim g + 1 > dim m, so the economy Vt
+    is all of Vt."""
+    U = np.atleast_2d(U)
+    B = np.einsum("ije,ni->nej", X.full_bracket_tensor(), U)
+    Uh = U / np.linalg.norm(U, axis=1, keepdims=True)
+    _, s, vt = np.linalg.svd(np.concatenate([B, Uh[:, None, :]], axis=1), full_matrices=False)
+    k = np.count_nonzero(s <= 1e-9 * np.maximum(1.0, s[:, :1]), axis=1)
+    return vt, k
 
 
 def generic_flat_search(X, F, budget=200, seed=0, tolerances=None):
@@ -618,7 +611,9 @@ def generic_flat_search(X, F, budget=200, seed=0, tolerances=None):
     residual over the commutant, certify candidates.
 
     Deterministic pole starts at the root-plane axes come first, then
-    random points on the F-unit sphere.  Returns certificates sorted
+    random points on the F-unit sphere.  Each start is scored as a batch of
+    one and, unless already flat, refined by _descend_pole, which scores its
+    whole gradient stencil in one batch.  Returns certificates sorted
     canonically, flat flags first, followed by the best non-certified
     candidates.
     """
@@ -638,13 +633,11 @@ def generic_flat_search(X, F, budget=200, seed=0, tolerances=None):
     seen = set()
     for w in starts:
         u = w / F.value(w)
-        score, v = _flatness_score(X, F, u)
+        (score,), (v,) = _flatness_scores(X, F, u)
         if v is None:
             continue
         if score > 1e-16:
-            u2, v2, score2 = _descend_pole(X, F, u, score, seed=seed)
-            if v2 is not None and score2 < score:
-                u, v, score = u2, v2, score2
+            u, v, score = _descend_pole(X, F, u, score, v)
         cert = flag_curvature(X, F, u, v, tolerances=tolerances)
         key = _flag_key(u, v)
         if key in seen:
@@ -672,53 +665,61 @@ def _flag_key(u, v):
     return (canon(u), canon(v))
 
 
-def _flatness_score(X, F, u):
-    """Smallest flatness residual over v in the commutant of the F-unit pole
-    u, and the v attaining it; (inf, None) when the commutant is empty."""
-    com = _commutant_in_m(X, u)
-    if com.shape[0] == 0:
-        return np.inf, None
-    A, c0 = _residual_form(X, F, u)
-    Ak = com @ A @ com.T
-    vals, vecs = np.linalg.eigh(0.5 * (Ak + Ak.T))
-    return float(vals[0]) + c0, vecs[:, 0] @ com
+def _flatness_scores(X, F, U):
+    """Smallest flatness residual over v in the commutant of each F-unit row
+    u of U, and the v attaining it; inf and None where the commutant is empty.
+
+    The residual is v'Av + |M1 u|^2 at u/|u|, with M1 = [w_i, u]_m g_u,
+    M2[i, j] = <[w_i, e_j]_m, u>_u and A = M1'M1 + M2'M2; one stacked eigh
+    per kernel dimension minimises it over unit v in the commutant.
+    """
+    U = np.atleast_2d(U)
+    n, d = U.shape
+    vt, k = _commutant_in_m(X, U)
+    Uh = U / np.linalg.norm(U, axis=1, keepdims=True)
+    gram = F.gram_batch_closed(Uh)
+    bm = X.m_bracket_tensor()
+    M1 = np.einsum("ijk,nj->nik", bm, Uh) @ gram
+    M2 = np.einsum("ijk,nk->nij", bm, np.einsum("nij,nj->ni", gram, Uh))
+    r1 = np.einsum("nij,nj->ni", M1, Uh)
+    A = M1.transpose(0, 2, 1) @ M1 + M2.transpose(0, 2, 1) @ M2
+    scores = np.full(n, np.inf)
+    vs = [None] * n
+    for dim in np.unique(k[k > 0]):
+        rows = np.flatnonzero(k == dim)
+        com = vt[rows, d - dim:]
+        Ak = com @ A[rows] @ com.transpose(0, 2, 1)
+        vals, vecs = np.linalg.eigh(0.5 * (Ak + Ak.transpose(0, 2, 1)))
+        scores[rows] = vals[:, 0] + np.einsum("ni,ni->n", r1[rows], r1[rows])
+        for row, v in zip(rows, np.einsum("nk,nkd->nd", vecs[:, :, 0], com)):
+            vs[row] = v
+    return scores, vs
 
 
-def _descend_pole(X, F, u0, score0, seed=0, max_iter=120):
-    """Projected-gradient refinement of the pole, v re-solved per step."""
-
-    def objective(u):
-        return _flatness_score(X, F, u / F.value(u))
-
-    u = u0 / F.value(u0)
-    score, v = objective(u)
-    if not np.isfinite(score):
-        return u0, None, np.inf
+def _descend_pole(X, F, u, score, v, max_iter=120):
+    """Projected-gradient refinement of the F-unit pole u from its score and
+    v.  Each step scores the forward-difference stencil (u + h e_i)/F as one
+    _flatness_scores batch, then takes the first of up to 25 halved steps
+    that improves the score."""
     h = 1e-6
     for _ in range(max_iter):
-        grad = np.zeros(len(u))
-        finite = True
-        for i in range(len(u)):
-            e = np.zeros(len(u))
-            e[i] = h
-            s_plus, _ = objective(u + e)
-            if not np.isfinite(s_plus):
-                finite = False
-                break
-            grad[i] = (s_plus - score) / h
+        P = u + h * np.eye(len(u))
+        s_plus, _ = _flatness_scores(X, F, P / F.value_many(P)[:, None])
+        if not np.all(np.isfinite(s_plus)):
+            break
+        grad = (s_plus - score) / h
         gn = np.linalg.norm(grad)
-        if not finite or gn < 1e-14 or score < 1e-18:
+        if gn < 1e-14 or score < 1e-18:
             break
         eta = 0.1 / max(gn, 1.0)
-        improved = False
         for _ in range(25):
             cand = u - eta * grad
-            s_new, v_new = objective(cand)
+            cand = cand / F.value(cand)
+            (s_new,), (v_new,) = _flatness_scores(X, F, cand)
             if np.isfinite(s_new) and s_new < score - 1e-20:
-                u, score, v = cand / F.value(cand), s_new, v_new
-                improved = True
+                u, score, v = cand, s_new, v_new
                 break
             eta *= 0.5
-        if not improved:
+        else:
             break
     return u, v, score

@@ -629,7 +629,10 @@ def isotropy_invariant_decomposition(X):
     def canonical(sig):
         ints = np.round(sig / scale)
         if np.abs(sig / scale - ints).max() > 1e-6:
-            raise RuntimeError("non-integral weight signature %s" % sig)
+            raise ValueError(
+                "the torus basis of this explicit rank-%d isotropy is not lattice-aligned, so "
+                "integer weights are undefined (speeds %s)" % (rt, np.round(sig, 4).tolist())
+            )
         ints = ints.astype(int)
         nz = ints[ints != 0]
         if len(nz) and nz[0] < 0:

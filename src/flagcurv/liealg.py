@@ -318,19 +318,12 @@ def null_rows(A, tol):
     These are the rows of Vt whose singular value is at most
     tol * max(1, s_max), the cutoff _orthonormal_rows uses for the row span.
     The full Vt is formed only for a wide A; a tall A gets the economy SVD
-    and never its full U.  LAPACK gesdd is called through scipy.linalg.lapack
-    with the workspace scipy.linalg.svd asks for, so the bases match
-    scipy.linalg.null_space (numpy's LAPACK rotates some degenerate kernels,
-    and with them the commutant element invariant_blocks draws) without the
-    svd wrapper, which costs more than the search's small SVDs themselves.
+    and never its full U.  scipy's gesdd keeps the bases of
+    scipy.linalg.null_space: numpy's LAPACK rotates some degenerate kernels,
+    and with them the commutant element invariant_blocks draws.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    m, n = A.shape
-    wide = int(m < n)
-    lwork = int(sla.lapack.dgesdd_lwork(m, n, compute_uv=1, full_matrices=wide)[0])
-    _, s, vt, info = sla.lapack.dgesdd(A, compute_uv=1, full_matrices=wide, lwork=lwork)
-    if info != 0:
-        raise np.linalg.LinAlgError("SVD did not converge (gesdd info %d)" % info)
+    _, s, vt = sla.svd(A, full_matrices=A.shape[0] < A.shape[1], check_finite=False)
     svals = np.zeros(vt.shape[0])
     svals[: len(s)] = s
     return vt[svals <= tol * max(1.0, svals[0])]

@@ -10,7 +10,7 @@ Three families are supported:
 All three are positively 1-homogeneous and reversible by construction;
 Ad(H)-invariance and strong convexity are validated numerically at build
 time.  The quartic family is one stacked form, F^4 = sum_k c_k (v'M_k v)^2
-with M = (Q, B_1, ...) and c = (1, eps w_1, ...).
+with M = (Q, B_1, ...) and c = (1, eps w_1, ...), stacked once per norm.
 
 Each kind has one closed-form fundamental tensor (half the Hessian of F^2),
 MinkowskiNorm.gram_batch_closed; a single point is a batch of one.
@@ -24,6 +24,7 @@ numdiff.hessian call per default quartic flag_curvature).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +57,10 @@ def _quadratic_many(V, A):
 
 @dataclass
 class MinkowskiNorm:
-    """A positively 1-homogeneous strongly convex norm on m-coordinates."""
+    """A positively 1-homogeneous strongly convex norm on m-coordinates.
+
+    Norms are immutable: the stacked quartic form is cached on first use,
+    and transform returns a new norm."""
 
     kind: str
     dim: int
@@ -69,6 +73,7 @@ class MinkowskiNorm:
 
     # -- evaluation -----------------------------------------------------------
 
+    @cached_property
     def _quartic_forms(self):
         """(c, M) with F^4 = sum_k c_k (v'M_k v)^2.  c is used as it is, with
         no square roots, so a negative epsilon and no terms stay valid."""
@@ -87,7 +92,7 @@ class MinkowskiNorm:
             phi, _, _ = _phi_eval(self.phi, s)
             return alpha * phi
         if self.kind == "quartic_perturbed":
-            c, M = self._quartic_forms()
+            c, M = self._quartic_forms
             p = np.einsum("kni,ni->kn", V @ M, V)
             return (c @ (p * p)) ** 0.25
         raise ValueError("unknown norm kind %r" % self.kind)
@@ -148,7 +153,7 @@ class MinkowskiNorm:
             # with G = F^4 = sum_k c_k p_k^2, p_k = v'M_k v, and r = sqrt(G):
             # g = (sum_k c_k p_k M_k + 2 sum_k c_k (M_k v)(M_k v)' - 2 D D' / G) / r,
             # D = sum_k c_k p_k M_k v = grad(G) / 4
-            c, M = self._quartic_forms()
+            c, M = self._quartic_forms
             MV = (V @ M).transpose(1, 0, 2)  # (n, k, d): rows M_k v
             p = np.einsum("nki,ni->nk", MV, V)
             cp = p * c

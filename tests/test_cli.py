@@ -180,6 +180,28 @@ def test_find_flat_cli_overrides(tmp_path, capsys):
         assert main(["find-flat", _write(tmp_path, doc), "--budget", budget]) == 2
 
 
+def test_negative_seeds_are_rejected_with_a_pointer(tmp_path, capsys):
+    doc = {
+        "group": {"family": "sp", "n": 2},
+        "isotropy": [{"type": "circle", "weights": [2, 1]}],
+        "metric": {"kind": "quartic_perturbed", "epsilon": 0.1, "seed": -1},
+        "task": {"name": "find-flat", "budget": 5, "seed": 0},
+    }
+    assert main(["find-flat", _write(tmp_path, doc)]) == 2
+    assert "input error at /metric/seed" in capsys.readouterr().err
+    doc["metric"]["seed"] = 0
+    doc["task"]["seed"] = -1
+    assert main(["find-flat", _write(tmp_path, doc)]) == 2
+    assert "input error at /task/seed" in capsys.readouterr().err
+    doc["task"]["seed"] = 0
+    assert main(["find-flat", _write(tmp_path, doc), "--seed", "-1"]) == 2
+    assert "input error at /task/seed" in capsys.readouterr().err
+    speeds = json.loads(json.dumps(SPEEDS_DOC))
+    speeds["task"] = {"name": "verify-example", "example_id": 3, "seed": -2}
+    assert main(["verify-example", _write(tmp_path, speeds)]) == 2
+    assert "input error at /task/seed" in capsys.readouterr().err
+
+
 def test_reports_are_byte_stable(tmp_path):
     path = _write(tmp_path, SPEEDS_DOC)
     outs = []

@@ -4,10 +4,11 @@ import pytest
 from flagcurv.homspace import build_space, SubalgebraSpec
 from flagcurv.liealg import build_lie_algebra, _quat_to_real
 from flagcurv.minkowski import make_norm
-from flagcurv.curvature import flag_curvature
+from flagcurv.curvature import _flatness_vectors, flag_curvature
 from flagcurv import numdiff
 from flagcurv.flatfinder import (
     ExampleParameterError,
+    _flatness_scores,
     construct_example_flat,
     example1_speed_separation,
     extremal_unit_vector,
@@ -227,6 +228,46 @@ def test_catalog_certifies_across_parameters(example_id, params):
     cert = flag_curvature(ex.space, flag.norm, flag.u, flag.v)
     assert cert.verdict == "zero_flag"
     assert max(cert.zero_residuals) < 1e-8
+
+
+@pytest.fixture(scope="module")
+def so6_circle():
+    X = build_space(build_lie_algebra("so", 6), [S.circle(1, 2, 0)])
+    return X, make_norm("quartic_perturbed", {"epsilon": 0.1}, X, seed=0)
+
+
+def test_batched_flatness_scores_match_single_rows(so6_circle):
+    X, F = so6_circle
+    axes = [X.m_vector(root=root, xy=(1.0, 0.0)) for root in sorted(X.plane_slices)]
+    assert len(axes) == 6
+    U = np.vstack([axes, np.random.default_rng(5).standard_normal((20, X.dim_m))])
+    U /= F.value_many(U)[:, None]
+    scores, vs = _flatness_scores(X, F, U)
+    for u, score, v in zip(U, scores, vs):
+        (one,), (v_one,) = _flatness_scores(X, F, u)
+        assert abs(one - score) <= 1e-12 * max(1.0, abs(score))
+        assert v is not None and v_one is not None
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        assert abs(v @ u) < 1e-9 * np.linalg.norm(u)
+        assert np.linalg.norm(X.bracket_full(u, v)) < 1e-9
+        # v attains the score: the flatness residual of (u/|u|, v)
+        uh = u / np.linalg.norm(u)
+        res = sum(float(r @ r) for r in _flatness_vectors(X, F.gram(uh, method="closed"), uh, v))
+        assert abs(res - score) <= 1e-10 * max(1.0, abs(score))
+
+    X2 = build_space(build_lie_algebra("su", 2), [])
+    F2 = make_norm("riemannian", {}, X2, seed=0)
+    scores, vs = _flatness_scores(X2, F2, np.random.default_rng(1).standard_normal((5, X2.dim_m)))
+    assert np.all(np.isinf(scores)) and vs == [None] * 5
+
+
+def test_search_verdicts_on_so6_circle_are_pinned(so6_circle):
+    X, F = so6_circle
+    certs = generic_flat_search(X, F, budget=12, seed=0)
+    assert [c.verdict for c in certs] == [
+        "zero_flag", "zero_flag", "positive", "preconditions_failed", "preconditions_failed",
+    ]
+    assert sum(c.verdict == "zero_flag" for c in certs) == 2
 
 
 def test_search_on_orthogonal_family():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from flagcurv.liealg import build_lie_algebra
+from flagcurv.liealg import build_lie_algebra, _quat_to_real
 from flagcurv.homspace import (
     SubalgebraSpec,
     ad_rotation_speeds,
@@ -182,6 +182,24 @@ def test_isotropy_decomposition_g2(g2_short):
     dec = isotropy_invariant_decomposition(g2_short)
     assert dec.dims() == [3, 4, 4]
     assert dec.signatures == [(0,), (1,), (3,)]
+
+
+def test_isotropy_decomposition_rejects_a_non_lattice_torus(sp2):
+    # u(2) inside sp(2) as explicit matrices: its rank-2 torus comes from
+    # nested centralizers with no lattice data, so signatures are not integral
+    zero = np.zeros((2, 2), dtype=complex)
+    mats = []
+    for (i, j, val) in ((0, 0, 1j), (1, 1, 1j)):
+        A = zero.copy()
+        A[i, j] = val
+        mats.append(_quat_to_real(A, zero))
+    A = zero.copy(); A[0, 1] = 1.0; A[1, 0] = -1.0
+    mats.append(_quat_to_real(A, zero))
+    A = zero.copy(); A[0, 1] = 1j; A[1, 0] = 1j
+    mats.append(_quat_to_real(A, zero))
+    X = build_space(sp2, [S.explicit(mats)])
+    with pytest.raises(ValueError, match="rank-2 isotropy is not lattice-aligned"):
+        isotropy_invariant_decomposition(X)
 
 
 def test_isotropy_decomposition_maximal_torus(sp2):
