@@ -11,9 +11,11 @@ quartic-perturbed family:
   5  g2 / su(2) built on a short root
 
 Constructions 2 and 5 pick the flag pole by maximizing the invariant length
-over the F-unit sphere of a distinguished subspace and then rotate it into
-a named root plane with an isometry generated by the centralizing
-subalgebra, pulling the norm back along the same rotation.
+over the F-unit sphere of a distinguished subspace m1, then rotate it with
+Ad(exp x), x in the centralizing subalgebra m0, onto the positive first
+axis of a named root plane, pulling the norm back along the same rotation.
+The pole is thus sqrt(bi_norm_sq) times that axis, whichever point of the
+maximizing orbit the ascent reached.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .curvature import flag_curvature
 
 CLOSURE_TOL = 1e-10
 DEFAULT_EPSILONS = (0.05, 0.1, 0.2)
+EXTREMAL_STARTS = 6
 
 
 class ExampleParameterError(ValueError):
@@ -76,19 +79,13 @@ class ExampleConstruction:
 
 
 def _plane_rows(X, root):
-    sl = X.root_plane_slice(root)
-    rows = np.zeros((2, X.dim_m))
-    rows[0, sl[0]] = 1.0
-    rows[1, sl[0] + 1] = 1.0
-    return rows
+    s = X.root_plane_slice(root)[0]
+    return np.eye(X.dim_m)[s:s + 2]
 
 
 def _tm_rows(X):
     s, k = X.tm_slice
-    rows = np.zeros((k, X.dim_m))
-    for i in range(k):
-        rows[i, s + i] = 1.0
-    return rows
+    return np.eye(X.dim_m)[s:s + k]
 
 
 def _t_bracket_line(X, u):
@@ -122,21 +119,44 @@ def bracket_closure_residual(X, x, domain_rows, target_rows):
 # ---------------------------------------------------------------------------
 
 
-def extremal_unit_vector(F, subspace, seed=0, max_iter=500, starts=6):
-    """F-unit vector of maximal invariant length in the subspace.
+def extremal_unit_vector(F, subspace, seed=0):
+    """F-unit vector of maximal invariant length |u|^2 in the subspace.
 
-    Seeded multi-start projected ascent on the F-unit sphere; the returned
-    info records the first-order stationarity residual
-    max |g_u(u, w)| / g_u(u,u) over unit w orthogonal to u in the subspace.
-    """
+    EXTREMAL_STARTS seeded starts ascend together on the F-unit sphere, for
+    up to 80 steps; per step one gram batch gives the tangents and one
+    value_many batch scores 40 halved steps of every live start, which takes
+    its first Armijo candidate.  Newton on the KKT system polishes each
+    start; the largest value wins, ties going to the smaller stationarity
+    residual max |g_u(u, w)| / g_u(u,u) over unit w orthogonal to u in the
+    subspace.  The seed decides which point of the maximizing orbit comes
+    back; _extremal_pole moves it to a canonical one."""
     S = _orthonormal_rows(subspace)
     k = S.shape[0]
     if k == 0:
         raise ValueError("subspace must be nonzero")
-    rng = np.random.default_rng(seed)
-
-    def to_unit(c):
-        return c / F.value(c @ S)
+    C = np.random.default_rng(seed).standard_normal((EXTREMAL_STARTS, k))
+    C /= F.value_many(C @ S)[:, None]
+    iters = np.zeros(EXTREMAL_STARTS, dtype=int)
+    etas = 0.5 ** np.arange(1, 41)
+    live = np.arange(EXTREMAL_STARTS)
+    for n_it in range(1, 81):
+        c = C[live]
+        U = c @ S
+        grad_con = 2.0 * np.einsum("nij,nj->ni", F.gram_batch_closed(U), U) @ S.T
+        lam = np.einsum("ni,ni->n", 2.0 * c, grad_con) / np.einsum("ni,ni->n", grad_con, grad_con)
+        t = 2.0 * c - lam[:, None] * grad_con
+        tn = np.linalg.norm(t, axis=1)
+        iters[live] = n_it
+        moving = (tn >= 1e-9) & (n_it < 80)
+        live, c, t, tn = live[moving], c[moving], t[moving], tn[moving]
+        if not len(live):
+            break
+        cand = c[:, None, :] + etas[None, :, None] * t[:, None, :]
+        cand /= F.value_many(cand.reshape(-1, k) @ S).reshape(len(live), -1, 1)
+        base = np.einsum("ni,ni->n", c, c)[:, None]
+        ok = np.einsum("nji,nji->nj", cand, cand) > base + 0.25 * etas * (tn * tn)[:, None]
+        pick = np.where(ok.any(axis=1), ok.argmax(axis=1), len(etas) - 1)
+        C[live] = cand[np.arange(len(live)), pick]
 
     def stationarity(c):
         u = c @ S
@@ -166,35 +186,15 @@ def extremal_unit_vector(F, subspace, seed=0, max_iter=500, starts=6):
             step, *_ = np.linalg.lstsq(J, -r, rcond=None)
             c = c + step[:k]
             mu = mu + step[k]
-        return to_unit(c)
+        return c / F.value(c @ S)
 
     best = None
-    for trial in range(starts):
-        c = to_unit(rng.standard_normal(k))
-        n_it = 0
-        for n_it in range(1, max_iter + 1):
-            u = c @ S
-            G = F.gram(u, method="closed")
-            grad_con = 2.0 * (S @ (G @ u))
-            grad_obj = 2.0 * c
-            lam = (grad_obj @ grad_con) / (grad_con @ grad_con)
-            t = grad_obj - lam * grad_con
-            tn = np.linalg.norm(t)
-            if tn < 1e-9 or n_it >= 80:
-                break
-            eta = 0.5
-            base = c @ c
-            for _ in range(40):
-                cand = to_unit(c + eta * t)
-                if cand @ cand > base + 0.25 * eta * tn * tn:
-                    break
-                eta *= 0.5
-            c = cand
+    for c, n_it in zip(C, iters):
         c = kkt_polish(c)
         res = stationarity(c)
         value = float(c @ c)
         if best is None or value > best[0] + 1e-14 or (abs(value - best[0]) < 1e-12 and res < best[1]):
-            best = (value, res, c, n_it)
+            best = (value, res, c, int(n_it))
     value, res, c, iters = best
     if res > 1e-6:
         err = RuntimeError(
@@ -208,44 +208,52 @@ def extremal_unit_vector(F, subspace, seed=0, max_iter=500, starts=6):
     return u, info
 
 
-def _align_into_plane(X, rot_alg_rows, u, target_rows, seed=0, max_outer=200):
-    """Rotation Ad(exp x), x in the given centralizing subalgebra, moving u
-    into the span of target_rows.  Returns (R on m, off-target residual)."""
+def _align_into_plane(X, rot_alg_rows, u, axis, seed=0):
+    """Rotation R = Ad(exp x) on m, x in the given centralizing subalgebra,
+    moving u onto the line of the unit vector axis.  Returns (R, residual).
+
+    Gauss-Newton on x from the identity and up to seven seeded rotations.
+    As x commutes with h, ad(x) keeps m and R = expm(ad_m(x)), with ad_m
+    the m-block of ad; the Jacobian of P_off R u in x_a is P_off ad_m(k_a) R u."""
     K = _orthonormal_rows(rot_alg_rows)
-    T = _orthonormal_rows(target_rows)
-    nm = X.dim_m
-    P_off = np.eye(nm) - T.T @ T
-    gens = [X.lift(row) for row in K]
+    P_off = np.eye(X.dim_m) - np.outer(axis, axis)
+    ad_m = np.einsum("ai,ijk->akj", K, X.m_bracket_tensor())
 
     def rot(x):
-        xi = sum(float(a) * g for a, g in zip(x, gens))
-        return X.m_basis @ sla.expm(X.g.ad(xi)) @ X.m_basis.T
+        return sla.expm(np.tensordot(x, ad_m, axes=1))
 
     rng = np.random.default_rng(seed)
     best = None
     for trial in range(8):
-        R = np.eye(nm) if trial == 0 else rot(rng.standard_normal(len(gens)))
-        for _ in range(max_outer):
-            r = P_off @ (R @ u)
+        R = np.eye(X.dim_m) if trial == 0 else rot(rng.standard_normal(len(K)))
+        for _ in range(200):
+            Ru = R @ u
+            r = P_off @ Ru
             if np.linalg.norm(r) < 1e-14:
                 break
-            # Gauss-Newton on the increment in the subalgebra
-            J = np.zeros((nm, len(gens)))
-            h = 1e-6
-            for a in range(len(gens)):
-                e = np.zeros(len(gens))
-                e[a] = h
-                J[:, a] = (P_off @ (rot(e) @ (R @ u)) - r) / h
-            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-            if np.linalg.norm(step) > 1.0:
-                step = step / np.linalg.norm(step)
-            R = rot(step) @ R
+            step, *_ = np.linalg.lstsq(P_off @ (ad_m @ Ru).T, -r, rcond=None)
+            R = rot(step / max(1.0, np.linalg.norm(step))) @ R
         res = float(np.linalg.norm(P_off @ (R @ u)))
         if best is None or res < best[1]:
             best = (R, res)
         if best[1] < 1e-13:
             break
     return best
+
+
+def _extremal_pole(X, F, m0, m1, axis, seed):
+    """Pole u of constructions 2 and 5, the norm pulled back for it, and aux.
+
+    The F-extremal pole of m1 (seed + 7) is rotated by m0 onto the line of
+    the unit vector axis (seed + 11) and taken on its positive side, so u
+    is sqrt(bi_norm_sq) axis whatever orbit point the ascent reached.  The
+    norm is reversible, so the sign needs no pullback."""
+    u_star, ext = extremal_unit_vector(F, m1, seed=seed + 7)
+    R, align_res = _align_into_plane(X, m0, u_star, axis, seed=seed + 11)
+    u = R @ u_star
+    if u @ axis < 0:
+        u = -u
+    return u, F.transform(R.T), {"extremal": ext, "alignment_residual": align_res}
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +394,13 @@ def _example2(params, epsilons, seed, u_angle, v_angle):
     m0 = _stack_rows(tm, p34)
     m1 = np.vstack([_plane_rows(X, (1, 0, -1, 0)), _plane_rows(X, (1, 0, 0, -1))])
     m2 = np.vstack([_plane_rows(X, (0, 1, -1, 0)), _plane_rows(X, (0, 1, 0, -1))])
-    target = _plane_rows(X, (1, 0, -1, 0))
+    axis = _plane_rows(X, (1, 0, -1, 0))[0]
     v = _angle_vector(X, (0, 1, 0, -1), v_angle)
 
     flags = []
     for k, eps in enumerate(epsilons):
         F = make_norm("quartic_perturbed", {"epsilon": eps}, X, seed=seed + k)
-        u_star, ext = extremal_unit_vector(F, m1, seed=seed + 7 + k)
-        R, align_res = _align_into_plane(X, m0, u_star, target, seed=seed + 11 + k)
-        u = R @ u_star
-        Fr = F.transform(R.T)
+        u, Fr, aux = _extremal_pole(X, F, m0, m1, axis, seed + k)
         tu = _t_bracket_line(X, u)
         m_prime = _stack_rows(tm, p34, tu, _plane_rows(X, (1, 0, 0, -1)))
         claims = [
@@ -423,7 +428,7 @@ def _example2(params, epsilons, seed, u_angle, v_angle):
                 v=v,
                 m_prime=m_prime,
                 claims=claims,
-                aux={"extremal": ext, "alignment_residual": align_res},
+                aux=aux,
             )
         )
     return ExampleConstruction(2, params, X, flags, {"pole": "extremal in m1, rotated into a named plane"})
@@ -498,19 +503,17 @@ def _example5(params, epsilons, seed, u_angle, v_angle):
     # torus element of H acting as Id / -Id / R(pi/3) on m0 / m1 / m2
     s_unit = abs(datum.root_value(datum.index_for_root((1, 1)), t1))
     R_blocks = X.m_basis @ sla.expm((np.pi / 3.0 / s_unit) * g.ad(t1)) @ X.m_basis.T
-    block_eigs = {}
-    for name, rows in (("m0", m0), ("m1", m1), ("m2", m2)):
-        sub = rows @ R_blocks @ rows.T
-        block_eigs[name] = np.linalg.eigvals(sub)
+    block_eigs = {
+        name: np.linalg.eigvals(rows @ R_blocks @ rows.T).tolist()
+        for name, rows in (("m0", m0), ("m1", m1), ("m2", m2))
+    }
 
     v = _angle_vector(X, (2, 1), v_angle)
     flags = []
     for k, eps in enumerate(epsilons):
         F = make_norm("quartic_perturbed", {"epsilon": eps}, X, seed=seed + k)
-        u_star, ext = extremal_unit_vector(F, m1, seed=seed + 7 + k)
-        R, align_res = _align_into_plane(X, m0, u_star, p_g2, seed=seed + 11 + k)
-        u = R @ u_star
-        Fr = F.transform(R.T)
+        u, Fr, aux = _extremal_pole(X, F, m0, m1, p_g2[0], seed + k)
+        aux["block_rotation_eigenvalues"] = block_eigs
         tu = _t_bracket_line(X, u)
         claims = [
             ClosureClaim(
@@ -533,11 +536,7 @@ def _example5(params, epsilons, seed, u_angle, v_angle):
                 v=v,
                 m_prime=_stack_rows(m0, tu, p_g5),
                 claims=claims,
-                aux={
-                    "extremal": ext,
-                    "alignment_residual": align_res,
-                    "block_rotation_eigenvalues": {k2: v2.tolist() for k2, v2 in block_eigs.items()},
-                },
+                aux=aux,
             )
         )
     notes = {
@@ -656,11 +655,11 @@ def generic_flat_search(X, F, budget=200, seed=0, tolerances=None):
 def _flag_key(u, v):
     def canon(x):
         x = np.asarray(x, dtype=float)
-        x = x / np.linalg.norm(x)
-        nz = x[np.abs(x) > 1e-9]
+        x = np.round(x / np.linalg.norm(x), 7)
+        nz = x[x != 0]
         if len(nz) and nz[0] < 0:
             x = -x
-        return tuple(np.round(x, 7).tolist())
+        return tuple(x.tolist())
 
     return (canon(u), canon(v))
 

@@ -8,7 +8,12 @@ from flagcurv.curvature import _flatness_vectors, flag_curvature
 from flagcurv import numdiff
 from flagcurv.flatfinder import (
     ExampleParameterError,
+    _extremal_pole,
+    _flag_key,
     _flatness_scores,
+    _plane_rows,
+    _stack_rows,
+    _tm_rows,
     construct_example_flat,
     example1_speed_separation,
     extremal_unit_vector,
@@ -146,6 +151,63 @@ def test_extremal_stationarity(ex2):
     for flag in ex2.flags:
         assert flag.aux["extremal"]["stationarity"] < 1e-8
         assert flag.aux["alignment_residual"] < 1e-10
+
+
+@pytest.fixture(scope="module")
+def ex2_pole_data(su4_weighted):
+    # construction 2's space, one of its norms, m0, m1 and its target axis
+    X = su4_weighted
+    F = make_norm("quartic_perturbed", {"epsilon": 0.1}, X, seed=1)
+    m0 = _stack_rows(_tm_rows(X), _plane_rows(X, (0, 0, 1, -1)))
+    m1 = np.vstack([_plane_rows(X, (1, 0, -1, 0)), _plane_rows(X, (1, 0, 0, -1))])
+    return X, F, m0, m1, X.m_vector(root=(1, 0, -1, 0), xy=(1.0, 0.0))
+
+
+def _sampled_max_bi_norm_sq(F, subspace, count=20000, seed=3):
+    C = np.random.default_rng(seed).standard_normal((count, subspace.shape[0]))
+    C /= np.linalg.norm(C, axis=1, keepdims=True)
+    return float((1.0 / F.value_many(C @ subspace) ** 2).max())
+
+
+def test_extremal_beats_sampled_directions(ex2_pole_data, so6_circle):
+    # an ascent stopped at a saddle or a lower maximum would lose to the
+    # best of the sampled unit directions
+    _, F, _, m1, _ = ex2_pole_data
+    X6, F6 = so6_circle
+    for norm, sub in ((F, m1), (F6, np.eye(X6.dim_m))):
+        _, info = extremal_unit_vector(norm, sub, seed=0)
+        assert info["stationarity"] < 1e-8
+        assert info["bi_norm_sq"] >= _sampled_max_bi_norm_sq(norm, sub) - 1e-12
+
+
+@pytest.mark.parametrize("fixture,root", [("ex2", (1, 0, -1, 0)), ("ex5", (0, 1))])
+def test_extremal_pole_is_on_the_positive_target_axis(fixture, root, request):
+    ex = request.getfixturevalue(fixture)
+    axis = ex.space.m_vector(root=root, xy=(1.0, 0.0))
+    for flag in ex.flags:
+        bi = flag.aux["extremal"]["bi_norm_sq"]
+        assert np.abs(flag.u - np.sqrt(bi) * axis).max() < 1e-12
+        assert abs(flag.norm.value(flag.u) - 1.0) < 1e-12
+
+
+def test_extremal_pole_does_not_depend_on_the_seed(ex2_pole_data):
+    X, F, m0, m1, axis = ex2_pole_data
+    u0, _, aux0 = _extremal_pole(X, F, m0, m1, axis, seed=0)
+    u1, _, aux1 = _extremal_pole(X, F, m0, m1, axis, seed=5)
+    assert np.abs(u0 - u1).max() < 1e-12
+    assert abs(aux0["extremal"]["bi_norm_sq"] - aux1["extremal"]["bi_norm_sq"]) < 1e-12
+
+
+def test_flag_key_ignores_stray_components_and_sign():
+    # an entry below the 7-decimal rounding must not pick the sign: one
+    # line gets one key, so the search's de-duplication keeps it once
+    u = np.zeros(6)
+    u[4] = -1.0
+    stray = u.copy()
+    stray[0] = 1e-8
+    v = np.array([0.0, 0.6, 0.0, -0.8, 0.0, 0.0])
+    keys = {_flag_key(a, b) for a in (u, -u, stray, -stray) for b in (v, -v)}
+    assert len(keys) == 1
 
 
 def test_extremal_on_one_dimensional_subspace(sp2_circle21):
