@@ -690,7 +690,8 @@ def invariant_blocks(X, seed=0):
 
     Solves for all symmetric matrices commuting with every ad(h)|_m and
     takes eigenspaces of a seeded generic element; each returned block is an
-    exactly invariant subspace (rows in m-coordinates).
+    exactly invariant subspace (rows in m-coordinates).  The commutant does
+    not depend on the seed and is solved once per space.
     """
     nm = X.dim_m
     if X.dim_h == 0:
@@ -705,15 +706,17 @@ def invariant_blocks(X, seed=0):
         S = S + S.T - np.diag(np.diag(S))
         return S
 
-    # commutator [S, A] as a linear map of the packed symmetric vector
-    mat = np.zeros((len(ops) * nm * nm, k))
-    for col in range(k):
-        e = np.zeros(k)
-        e[col] = 1.0
-        S = unpack(e)
-        block = np.concatenate([(S @ A - A @ S).ravel() for A in ops])
-        mat[:, col] = block
-    null = null_rows(mat, 1e-10)
+    if "commutant" not in X._cache:
+        # commutator [S, A] as a linear map of the packed symmetric vector
+        mat = np.zeros((len(ops) * nm * nm, k))
+        for col in range(k):
+            e = np.zeros(k)
+            e[col] = 1.0
+            S = unpack(e)
+            block = np.concatenate([(S @ A - A @ S).ravel() for A in ops])
+            mat[:, col] = block
+        X._cache["commutant"] = null_rows(mat, 1e-10)
+    null = X._cache["commutant"]
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(null.shape[0])
     # kernel vectors as contiguous columns: the basis eigh returns inside a

@@ -243,6 +243,33 @@ def test_invariant_blocks_are_invariant(su4_weighted):
             assert np.abs(off).max() < 1e-9
 
 
+def test_commutant_kernel_is_cached_per_space(su4):
+    from flagcurv.minkowski import make_norm
+
+    spec = [S.block(1, 2), S.circle(1, 1, -1, -1)]
+    X = build_space(su4, spec)
+    for seed in (0, 5):
+        fresh = build_space(su4, spec)
+        for a, b in zip(invariant_blocks(X, seed=seed), invariant_blocks(fresh, seed=seed)):
+            assert np.array_equal(a, b)
+        F = make_norm("quartic_perturbed", {}, X, seed=seed)
+        G = make_norm("quartic_perturbed", {}, build_space(su4, spec), seed=seed)
+        assert np.array_equal(F.q, G.q)
+        assert F.epsilon == G.epsilon
+        for (w, B), (w2, B2) in zip(F.quartic_terms, G.quartic_terms):
+            assert w == w2 and np.array_equal(B, B2)
+    kernel = X._cache["commutant"]
+
+    other = [S.block(1, 2), S.circle(1, 1, 1, -3)]
+    Y = build_space(su4, other)
+    assert "commutant" not in Y._cache
+    blocks = invariant_blocks(Y, seed=0)
+    assert Y._cache["commutant"] is not kernel
+    assert X._cache["commutant"] is kernel
+    for a, b in zip(blocks, invariant_blocks(build_space(su4, other), seed=0)):
+        assert np.array_equal(a, b)
+
+
 def test_exp_isotropy_is_orthogonal(sp3_mixed):
     for R in sp3_mixed.sample_isotropy(6, seed=11):
         assert np.abs(R @ R.T - np.eye(sp3_mixed.dim_m)).max() < 1e-10

@@ -172,6 +172,58 @@ def test_convexity_scan_catches_indefinite_quartic():
         fundamental_tensor(F, direction)
 
 
+def _reference_argmin(grams):
+    return int(np.argmin(np.linalg.eigvalsh(grams)[:, 0]))
+
+
+def test_argmin_eigenvalue_matches_full_eigensolve_on_norm_grams(sp3_mixed, alpha_beta):
+    from flagcurv.homspace import SubalgebraSpec, build_space
+    from flagcurv.liealg import build_lie_algebra
+    from flagcurv.minkowski import CONVEXITY_DIRECTIONS, _SCREEN_CHUNK, _argmin_eigenvalue, _unit_sphere
+
+    so6 = build_space(build_lie_algebra("so", 6), [SubalgebraSpec.circle(1, 2, 0)])
+    B = np.diag([1.0, -1.0, 1.0, -1.0])
+    norms = [
+        make_norm("quartic_perturbed", {}, so6, seed=0),
+        make_norm("quartic_perturbed", {}, sp3_mixed, seed=0),
+        alpha_beta,
+        MinkowskiNorm("quartic_perturbed", 4, np.eye(4), quartic_terms=[(1.0, B)], epsilon=2.0),
+    ]
+    for F in norms:
+        for seed in (0, 1):
+            grams = F.gram_batch_closed(_unit_sphere(F.dim, CONVEXITY_DIRECTIONS, seed))
+            # full stack, shorter than one chunk, not a multiple of the chunk
+            for stack in (grams, grams[:50], grams[: 2 * _SCREEN_CHUNK + 37]):
+                k = _argmin_eigenvalue(stack)
+                assert k == _reference_argmin(stack)
+                assert np.linalg.eigvalsh(stack[k])[0] == np.linalg.eigvalsh(stack)[k, 0]
+
+
+def test_argmin_eigenvalue_ties_and_chunk_order():
+    from flagcurv.minkowski import _SCREEN_CHUNK, _argmin_eigenvalue
+
+    n = _SCREEN_CHUNK + 44
+    rng = np.random.default_rng(4)
+    filler = np.stack([np.diag([1.0 + 0.2 * r, 3.0, 3.0]) for r in rng.random(n)])
+    rotated = np.array([[1.25, 0.75, 0.0], [0.75, 1.25, 0.0], [0.0, 0.0, 2.0]])
+    low = np.diag([0.5, 2.0, 2.0])
+    assert np.linalg.eigvalsh(rotated)[0] == np.linalg.eigvalsh(low)[0]
+
+    # one matrix at two indices, in different chunks: every diagonal ties,
+    # so the chunks follow the index order
+    dup = np.stack([np.diag([1.25, 3.0, 3.0])] * n)
+    dup[3] = dup[n - 5] = rotated
+    # an exact tie whose higher index has the smaller diagonal, so the
+    # higher index is visited first
+    tie = filler.copy()
+    tie[10], tie[n - 10] = rotated, low
+    # the minimum has the largest diagonal and sits in the last chunk visited
+    last = filler.copy()
+    last[7] = 5.0 * np.ones((3, 3)) + 0.01 * np.eye(3)
+    for stack, want in ((dup, 3), (tie, 10), (last, 7), (last[:40], 7)):
+        assert _argmin_eigenvalue(stack) == want == _reference_argmin(stack)
+
+
 def test_norm_transform_is_pullback(sp2_circle21, quartic):
     R = sp2_circle21.sample_isotropy(1, seed=3)[0]
     Ft = quartic.transform(R)
