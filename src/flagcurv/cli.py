@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -34,7 +35,7 @@ from .homspace import (
     is_regular_subalgebra,
 )
 from .liealg import build_lie_algebra
-from .minkowski import check_norm_properties, make_norm
+from .minkowski import NormValidationError, check_norm_properties, make_norm
 
 TASKS = ("check-space", "curvature", "find-flat", "verify-example", "speeds")
 
@@ -118,8 +119,8 @@ def _check_int(val, pointer, lo=None, hi=None):
 
 
 def _check_num(val, pointer, positive=False):
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise SpecError(pointer, "expected a number")
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+        raise SpecError(pointer, "expected a finite number")
     if positive and val <= 0:
         raise SpecError(pointer, "expected a positive number")
     return float(val)
@@ -127,9 +128,9 @@ def _check_num(val, pointer, positive=False):
 
 def _check_num_list(val, pointer, length=None):
     if not isinstance(val, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in val
+        isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in val
     ):
-        raise SpecError(pointer, "expected a list of numbers")
+        raise SpecError(pointer, "expected a list of finite numbers")
     if length is not None and len(val) != length:
         raise SpecError(pointer, "expected %d entries" % length)
     return [float(x) for x in val]
@@ -276,7 +277,10 @@ def validate_spec(doc):
         params = task.get("params", {})
         _require_keys(params, "/task/params", (), ("p", "q"))
         t["params"] = {k: _check_int(v, "/task/params/%s" % k) for k, v in params.items()}
-        t["epsilons"] = _check_num_list(task.get("epsilons", [0.05, 0.1, 0.2]), "/task/epsilons")
+        epsilons = task.get("epsilons", [0.05, 0.1, 0.2])
+        if not isinstance(epsilons, list) or not epsilons:
+            raise SpecError("/task/epsilons", "expected a non-empty list of numbers")
+        t["epsilons"] = [_check_num(e, "/task/epsilons/%d" % k) for k, e in enumerate(epsilons)]
         t["seed"] = _check_int(task.get("seed", 0), "/task/seed", lo=0)
         t["u_angle"] = _check_num(task.get("u_angle", 0.35), "/task/u_angle")
         t["v_angle"] = _check_num(task.get("v_angle", -0.6), "/task/v_angle")
@@ -446,14 +450,19 @@ def _run_verify_example(spec, report):
     if "example_id" not in task:
         raise SpecError("/task/example_id", "verify-example requires an id")
     example_id = task["example_id"]
-    construction = construct_example_flat(
-        example_id,
-        params=task.get("params"),
-        epsilons=tuple(task["epsilons"]),
-        seed=task["seed"],
-        u_angle=task["u_angle"],
-        v_angle=task["v_angle"],
-    )
+    try:
+        construction = construct_example_flat(
+            example_id,
+            params=task.get("params"),
+            epsilons=tuple(task["epsilons"]),
+            seed=task["seed"],
+            u_angle=task["u_angle"],
+            v_angle=task["v_angle"],
+        )
+    except NormValidationError as exc:
+        if not hasattr(exc, "epsilon_index"):
+            raise
+        raise SpecError("/task/epsilons/%d" % exc.epsilon_index, str(exc))
     X = construction.space
     report["space"] = _space_summary(X)
     report["config"]["example"] = {

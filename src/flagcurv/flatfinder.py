@@ -16,6 +16,13 @@ Ad(exp x), x in the centralizing subalgebra m0, onto the positive first
 axis of a named root plane, pulling the norm back along the same rotation.
 The pole is thus sqrt(bi_norm_sq) times that axis, whichever point of the
 maximizing orbit the ascent reached.
+
+The generic search scores a pole by the smallest flatness residual over
+its commutant in m and descends on that score with its exact gradient,
+read off the commutant SVD that scoring already does (_flatness_scores).
+Where the gradient is undefined, at a degenerate minimum or where the
+commutant dimension is about to change, a descent step falls back to a
+forward-difference stencil.
 """
 
 from __future__ import annotations
@@ -28,12 +35,20 @@ import scipy.linalg as sla
 
 from .liealg import build_lie_algebra, _orthonormal_rows
 from .homspace import SubalgebraSpec, ad_rotation_speeds, build_space
-from .minkowski import make_norm, fundamental_tensor
+from .minkowski import NormValidationError, make_norm, fundamental_tensor
 from .curvature import flag_curvature
 
 CLOSURE_TOL = 1e-10
 DEFAULT_EPSILONS = (0.05, 0.1, 0.2)
 EXTREMAL_STARTS = 6
+# _flatness_scores: the exact gradient needs a simple minimum (relative
+# eigenvalue gap) and a locally constant kernel dimension (smallest
+# non-kernel singular value above, growth rates of the zero ones below,
+# this fraction of max(1, s_max)); the Cartan term is a central difference
+# of the closed-form gram with this step
+GRADIENT_GAP = 1e-8
+GRADIENT_SPLIT = 1e-6
+GRADIENT_CARTAN_STEP = 1e-5
 
 
 class ExampleParameterError(ValueError):
@@ -331,6 +346,18 @@ def construct_example_flat(example_id, params=None, epsilons=DEFAULT_EPSILONS, s
     return builder(params, tuple(epsilons), seed, float(u_angle), float(v_angle))
 
 
+def _quartic_norms(X, epsilons, seed):
+    """The construction's quartic norms, the k-th at epsilons[k] with seed
+    seed + k.  A NormValidationError carries the failing k as epsilon_index."""
+    for k, eps in enumerate(epsilons):
+        try:
+            F = make_norm("quartic_perturbed", {"epsilon": eps}, X, seed=seed + k)
+        except NormValidationError as err:
+            err.epsilon_index = k
+            raise
+        yield F
+
+
 def _angle_vector(X, root, angle, scale=1.0):
     return X.m_vector(root=root, xy=(scale * np.cos(angle), scale * np.sin(angle)))
 
@@ -369,10 +396,8 @@ def _example1(params, epsilons, seed, u_angle, v_angle):
             "the v-summand, which every invariant norm keeps orthogonal to the pole",
         ),
     ]
-    flags = []
-    for k, eps in enumerate(epsilons):
-        F = make_norm("quartic_perturbed", {"epsilon": eps}, X, seed=seed + k)
-        flags.append(FlagInstance(norm=F, u=u, v=v, m_prime=m_prime, claims=claims))
+    flags = [FlagInstance(norm=F, u=u, v=v, m_prime=m_prime, claims=claims)
+             for F in _quartic_norms(X, epsilons, seed)]
     notes = {
         "parameter_constraints": "gcd(p,q)=1, p+q>0, p>=q, (p,q) not in {(1,0),(1,1),(1,-1),(3,-1)}",
         "constraint_note": "the excluded set is the union of the two stated versions "
@@ -398,8 +423,7 @@ def _example2(params, epsilons, seed, u_angle, v_angle):
     v = _angle_vector(X, (0, 1, 0, -1), v_angle)
 
     flags = []
-    for k, eps in enumerate(epsilons):
-        F = make_norm("quartic_perturbed", {"epsilon": eps}, X, seed=seed + k)
+    for k, F in enumerate(_quartic_norms(X, epsilons, seed)):
         u, Fr, aux = _extremal_pole(X, F, m0, m1, axis, seed + k)
         tu = _t_bracket_line(X, u)
         m_prime = _stack_rows(tm, p34, tu, _plane_rows(X, (1, 0, 0, -1)))
@@ -440,10 +464,7 @@ def _example3(params, epsilons, seed, u_angle, v_angle):
     X = build_space(g, [SubalgebraSpec.circle(p, q)], name="sp(2)/S1(%d,%d)" % (p, q))
     u = _angle_vector(X, (2, 0), u_angle)
     v = _angle_vector(X, (0, 2), v_angle)
-    flags = []
-    for k, eps in enumerate(epsilons):
-        F = make_norm("quartic_perturbed", {"epsilon": eps}, X, seed=seed + k)
-        flags.append(FlagInstance(norm=F, u=u, v=v))
+    flags = [FlagInstance(norm=F, u=u, v=v) for F in _quartic_norms(X, epsilons, seed)]
     notes = {"speeds": [s for (_, _, s) in ad_rotation_speeds(X, [p, q])]}
     return ExampleConstruction(3, params, X, flags, notes)
 
@@ -465,8 +486,7 @@ def _example4(params, epsilons, seed, u_angle, v_angle):
     R = X.m_basis @ sla.expm(theta * g.ad(tau)) @ X.m_basis.T
 
     flags = []
-    for k, eps in enumerate(epsilons):
-        F = make_norm("quartic_perturbed", {"epsilon": eps}, X, seed=seed + k)
+    for F in _quartic_norms(X, epsilons, seed):
         un = u / np.linalg.norm(u)
         G = fundamental_tensor(F, un).gram
         aux = {
@@ -510,8 +530,7 @@ def _example5(params, epsilons, seed, u_angle, v_angle):
 
     v = _angle_vector(X, (2, 1), v_angle)
     flags = []
-    for k, eps in enumerate(epsilons):
-        F = make_norm("quartic_perturbed", {"epsilon": eps}, X, seed=seed + k)
+    for k, F in enumerate(_quartic_norms(X, epsilons, seed)):
         u, Fr, aux = _extremal_pole(X, F, m0, m1, p_g2[0], seed + k)
         aux["block_rotation_eigenvalues"] = block_eigs
         tu = _t_bracket_line(X, u)
@@ -591,18 +610,18 @@ def verify_closure_claims(example, m_prime=None, flag_index=0, tol=CLOSURE_TOL):
 
 
 def _commutant_in_m(X, U):
-    """Commutants in m of the rows u of U, pole line excluded, as (Vt, k):
-    row n's is Vt[n, dim m - k[n]:].  One stacked SVD of [B(u); u/|u|] with
-    B(u) w = [u, w] (full bracket): as B(u) u = 0, the appended row lifts
-    the pole's zero singular value to 1 and leaves the null_rows cutoff
-    s <= 1e-9 max(1, s_max) as it is.  dim g + 1 > dim m, so the economy Vt
-    is all of Vt."""
+    """Commutants in m of the rows u of U, pole line excluded, as
+    (W, s, Vt, k) from one stacked SVD W diag(s) Vt of [B(u); u/|u|], with
+    B(u) w = [u, w] (full bracket): row n's commutant is Vt[n, dim m - k[n]:].
+    As B(u) u = 0, the appended row lifts the pole's zero singular value to
+    1 and leaves the null_rows cutoff s <= 1e-9 max(1, s_max) as it is.
+    dim g + 1 > dim m, so the economy Vt is all of Vt."""
     U = np.atleast_2d(U)
     B = np.einsum("ije,ni->nej", X.full_bracket_tensor(), U)
     Uh = U / np.linalg.norm(U, axis=1, keepdims=True)
-    _, s, vt = np.linalg.svd(np.concatenate([B, Uh[:, None, :]], axis=1), full_matrices=False)
+    w, s, vt = np.linalg.svd(np.concatenate([B, Uh[:, None, :]], axis=1), full_matrices=False)
     k = np.count_nonzero(s <= 1e-9 * np.maximum(1.0, s[:, :1]), axis=1)
-    return vt, k
+    return w, s, vt, k
 
 
 def generic_flat_search(X, F, budget=200, seed=0, tolerances=None):
@@ -611,10 +630,13 @@ def generic_flat_search(X, F, budget=200, seed=0, tolerances=None):
 
     Deterministic pole starts at the root-plane axes come first, then
     random points on the F-unit sphere.  Each start is scored as a batch of
-    one and, unless already flat, refined by _descend_pole, which scores its
-    whole gradient stencil in one batch.  Returns certificates sorted
-    canonically, flat flags first, followed by the best non-certified
-    candidates.
+    one and, unless already flat, refined by _descend_pole from its score,
+    v and exact gradient; the gradient is None (and the descent steps with
+    a forward-difference stencil) where the smallest residual eigenvalue
+    has a relative gap <= GRADIENT_GAP or the commutant dimension may
+    change nearby (see _flatness_scores).
+    Returns certificates sorted canonically, flat flags first, followed by
+    the best non-certified candidates.
     """
     rng = np.random.default_rng(seed)
     nm = X.dim_m
@@ -632,11 +654,11 @@ def generic_flat_search(X, F, budget=200, seed=0, tolerances=None):
     seen = set()
     for w in starts:
         u = w / F.value(w)
-        (score,), (v,) = _flatness_scores(X, F, u)
+        (score,), (v,), (grad,) = _flatness_scores(X, F, u)
         if v is None:
             continue
         if score > 1e-16:
-            u, v, score = _descend_pole(X, F, u, score, v)
+            u, v, score = _descend_pole(X, F, u, score, v, grad)
         cert = flag_curvature(X, F, u, v, tolerances=tolerances)
         key = _flag_key(u, v)
         if key in seen:
@@ -664,49 +686,128 @@ def _flag_key(u, v):
     return (canon(u), canon(v))
 
 
-def _flatness_scores(X, F, U):
+def _flatness_scores(X, F, U, grad_below=np.inf):
     """Smallest flatness residual over v in the commutant of each F-unit row
-    u of U, and the v attaining it; inf and None where the commutant is empty.
+    u of U, the v attaining it, and the residual's gradient in u for rows
+    scoring below grad_below; inf, None and None where the commutant is
+    empty.
 
-    The residual is v'Av + |M1 u|^2 at u/|u|, with M1 = [w_i, u]_m g_u,
-    M2[i, j] = <[w_i, e_j]_m, u>_u and A = M1'M1 + M2'M2; one stacked eigh
-    per kernel dimension minimises it over unit v in the commutant.
+    The residual is v'Av + |r1|^2 at u/|u|, with M1 = [w_i, u]_m g_u,
+    M2[i, j] = <[w_i, e_j]_m, u>_u, A = M1'M1 + M2'M2 and r1 = M1 u; one
+    stacked eigh per kernel dimension minimises it over unit v in the
+    commutant.
+
+    The gradient is exact where the minimum lam is simple (eigenvalue gap
+    > GRADIENT_GAP max(1, |lam|)) and the kernel dimension k is locally
+    constant, and None elsewhere (M. L. Overton, Large-scale optimization
+    of eigenvalues, SIAM J. Optim. 2, 1992).  k is locally constant when
+    the smallest non-kernel singular value is > GRADIENT_SPLIT
+    max(1, s_max), so no singular value can fall into the kernel, and the
+    zero singular values grow at rates <= GRADIENT_SPLIT max(1, s_max), so
+    none leaves it (at the root-plane axes of so(6)/S1(1,2,0) k is 3, not
+    the generic 1, and the score jumps off the axis).  There, with
+    [B(u); u/|u|] = W diag(s) Vt from _commutant_in_m, the multiplier of
+    the constraint [B(u); u/|u|] v = 0 is y = W diag(1/s) Vt 2(A - lam)v
+    over the non-kernel rows, and with uh = u/|u| the gradient is
+    (I - uh uh')gamma/|u| - sum_e y_e [e_i, v]_e - y_pole v/|u|.  gamma is
+    the gradient in w of v'A(w)v + |r1(w)|^2 at uh with v held fixed,
+      2 bm(M1v, ., gv) + 2 (d_a g)v + 2 g (bm(M2v, v, .) + N'r1) + 2 M2'r1,
+    with g the gram at uh, N = bm(., uh, .) and a = N'M1v, as the Cartan
+    tensor kills uh; (d_a g)v is a central difference of the closed-form
+    gram along a.
     """
     U = np.atleast_2d(U)
     n, d = U.shape
-    vt, k = _commutant_in_m(X, U)
-    Uh = U / np.linalg.norm(U, axis=1, keepdims=True)
+    W, sv, vt, k = _commutant_in_m(X, U)
+    unorm = np.linalg.norm(U, axis=1, keepdims=True)
+    Uh = U / unorm
     gram = F.gram_batch_closed(Uh)
-    bm = X.m_bracket_tensor()
-    M1 = np.einsum("ijk,nj->nik", bm, Uh) @ gram
-    M2 = np.einsum("ijk,nk->nij", bm, np.einsum("nij,nj->ni", gram, Uh))
+    bm, bg = X.m_bracket_tensor(), X.full_bracket_tensor()
+    N = np.einsum("ijk,nj->nik", bm, Uh)
+    M1 = N @ gram
+    gu = np.einsum("nij,nj->ni", gram, Uh)
+    M2 = np.einsum("ijk,nk->nij", bm, gu)
     r1 = np.einsum("nij,nj->ni", M1, Uh)
     A = M1.transpose(0, 2, 1) @ M1 + M2.transpose(0, 2, 1) @ M2
     scores = np.full(n, np.inf)
     vs = [None] * n
-    for dim in np.unique(k[k > 0]):
+    lam = np.zeros(n)
+    gap = np.full(n, np.inf)
+    V = np.zeros((n, d))
+    for dim in sorted(set(k.tolist()) - {0}):
         rows = np.flatnonzero(k == dim)
         com = vt[rows, d - dim:]
         Ak = com @ A[rows] @ com.transpose(0, 2, 1)
         vals, vecs = np.linalg.eigh(0.5 * (Ak + Ak.transpose(0, 2, 1)))
+        lam[rows] = vals[:, 0]
         scores[rows] = vals[:, 0] + np.einsum("ni,ni->n", r1[rows], r1[rows])
-        for row, v in zip(rows, np.einsum("nk,nkd->nd", vecs[:, :, 0], com)):
-            vs[row] = v
-    return scores, vs
+        if dim > 1:
+            gap[rows] = vals[:, 1] - vals[:, 0]
+        V[rows] = np.einsum("nk,nkd->nd", vecs[:, :, 0], com)
+        for row in rows:
+            vs[row] = V[row]
+    grads = [None] * n
+    ok = np.flatnonzero(scores < grad_below)
+    tol = GRADIENT_SPLIT * np.maximum(1.0, sv[ok, 0])
+    simple = (gap[ok] > GRADIENT_GAP * np.maximum(1.0, np.abs(lam[ok]))) & (sv[ok, d - k[ok] - 1] > tol)
+    ok, tol = ok[simple], tol[simple]
+    # the parts of d[B(u); u/|u|][e_i] x = ([e_i, x]; x_i/|u|), x in the
+    # kernel, outside the range of [B(u); u/|u|] are the rates at which the
+    # zero singular values grow: nonzero where u sits on a stratum of larger k
+    live = np.arange(d) < (d - k[ok])[:, None]
+    Wr = (W[ok] * live[:, None, :])[:, None]
+    vk = vt[ok]
+    Bx = (vk @ bg.transpose(1, 0, 2).reshape(d, -1)).reshape(len(ok), d, d, bg.shape[2])
+    D = np.concatenate([Bx, vk[..., None] / unorm[ok, :, None, None]], axis=3)
+    D -= (D @ Wr) @ Wr.transpose(0, 1, 3, 2)
+    keep = np.where(live[:, :, None, None], 0.0, np.abs(D)).max(axis=(1, 2, 3)) <= tol
+    ok, live = ok[keep], live[keep]
+    if not len(ok):
+        return scores, vs, grads
+
+    V, g, uh, N, M1, M2, r1 = V[ok], gram[ok], Uh[ok], N[ok], M1[ok], M2[ok], r1[ok]
+    # the multiplier y of [B(u); u/|u|] v = 0, over the non-kernel rows
+    res = 2.0 * (np.einsum("nij,nj->ni", A[ok], V) - lam[ok, None] * V)
+    inv_s = np.divide(1.0, sv[ok], out=np.zeros((len(ok), d)), where=live)
+    y = np.einsum("nej,nj->ne", W[ok], inv_s * np.einsum("nij,nj->ni", vt[ok], res))
+    M1v = np.einsum("nij,nj->ni", M1, V)
+    a = np.einsum("nik,ni->nk", N, M1v)
+    an = np.sqrt(np.einsum("ni,ni->n", a, a))
+    h = GRADIENT_CARTAN_STEP
+    step = a * (h / np.maximum(an, 1e-300))[:, None]
+    Gp, Gm = F.gram_batch_closed(np.concatenate([uh + step, uh - step])).reshape(2, len(ok), d, d)
+    M2v = np.einsum("nij,nj->ni", M2, V)
+    inner = np.einsum("ijk,ni,nj->nk", bm, M2v, V) + np.einsum("nik,ni->nk", N, r1)
+    gamma = 2.0 * (
+        np.einsum("ijk,ni,nk->nj", bm, M1v, np.einsum("nij,nj->ni", g, V))
+        + np.einsum("nij,nj->ni", Gp - Gm, V) * (an / (2.0 * h))[:, None]
+        + np.einsum("nij,nj->ni", g, inner)
+        + np.einsum("nij,ni->nj", M2, r1)
+    )
+    gamma -= np.einsum("ni,ni->n", gamma, uh)[:, None] * uh
+    brk = np.einsum("ije,nj,ne->ni", bg, V, y[:, :-1])
+    for row, grad in zip(ok, (gamma - y[:, -1:] * V) / unorm[ok] - brk):
+        grads[row] = grad
+    return scores, vs, grads
 
 
-def _descend_pole(X, F, u, score, v, max_iter=120):
-    """Projected-gradient refinement of the F-unit pole u from its score and
-    v.  Each step scores the forward-difference stencil (u + h e_i)/F as one
-    _flatness_scores batch, then takes the first of up to 25 halved steps
-    that improves the score."""
+def _descend_pole(X, F, u, score, v, grad, max_iter=120):
+    """Projected-gradient refinement of the F-unit pole u from its score, v
+    and gradient.  The gradient is _flatness_scores' exact one; where that
+    is None (a degenerate minimum or a kernel dimension about to change,
+    as at the axis poles) the step scores the forward-difference stencil
+    (u + h e_i)/F as one _flatness_scores batch instead.  Each step takes
+    the first of up to 25 halved steps that improves the score; candidates
+    are scored with grad_below at that bound, so only the accepted one
+    pays for its gradient."""
     h = 1e-6
     for _ in range(max_iter):
-        P = u + h * np.eye(len(u))
-        s_plus, _ = _flatness_scores(X, F, P / F.value_many(P)[:, None])
-        if not np.all(np.isfinite(s_plus)):
-            break
-        grad = (s_plus - score) / h
+        if grad is None:
+            P = u + h * np.eye(len(u))
+            s_plus, _, _ = _flatness_scores(X, F, P / F.value_many(P)[:, None], grad_below=-np.inf)
+            if not np.all(np.isfinite(s_plus)):
+                break
+            grad = (s_plus - score) / h
         gn = np.linalg.norm(grad)
         if gn < 1e-14 or score < 1e-18:
             break
@@ -714,9 +815,9 @@ def _descend_pole(X, F, u, score, v, max_iter=120):
         for _ in range(25):
             cand = u - eta * grad
             cand = cand / F.value(cand)
-            (s_new,), (v_new,) = _flatness_scores(X, F, cand)
-            if np.isfinite(s_new) and s_new < score - 1e-20:
-                u, score, v = cand, s_new, v_new
+            (s_new,), (v_new,), (g_new,) = _flatness_scores(X, F, cand, grad_below=score - 1e-20)
+            if s_new < score - 1e-20:
+                u, score, v, grad = cand, s_new, v_new, g_new
                 break
             eta *= 0.5
         else:

@@ -264,10 +264,8 @@ def _argmin_eigenvalue(grams):
     entry, an upper bound on the smallest eigenvalue; the order only
     affects speed.  Every chunk after the first is skipped when its shifted
     Cholesky screen succeeds (see _convexity_scan), and otherwise gets
-    eigvalsh, which treats each gram alone as the full stack would.  Stacks
-    with a non-finite entry take the full eigvalsh unscreened."""
-    if not np.isfinite(grams).all():
-        return int(np.argmin(np.linalg.eigvalsh(grams)[:, 0]))
+    eigvalsh, which treats each gram alone as the full stack would.  The
+    grams must be finite."""
     d = grams.shape[-1]
     order = np.argsort(np.einsum("nii->ni", grams).min(axis=1), kind="stable")
     margin = _SCREEN_MARGIN * max(1.0, float(np.abs(grams).max()))
@@ -304,11 +302,22 @@ def _convexity_scan(F, count=CONVEXITY_DIRECTIONS, seed=1):
     eigvalsh would return more than best for each of them and the chunk
     cannot hold the minimum.  Only chunks that fail the screen are
     eigensolved, and the value and direction returned are exactly those of
-    the full eigvalsh scan."""
+    the full eigvalsh scan.
+
+    A non-finite gram means F^4 is not positive at that direction (a
+    negative epsilon too large for the quartic form) and raises
+    NormValidationError."""
     if F.kind == "riemannian":
         return float(np.linalg.eigvalsh(F.q)[0]), np.eye(F.dim)[0]
     V = _unit_sphere(F.dim, count, seed)
-    grams = F.gram_batch_closed(V)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        grams = F.gram_batch_closed(V)
+    if not np.isfinite(grams).all():
+        bad = np.argmin(np.isfinite(grams).all(axis=(1, 2)))
+        raise NormValidationError(
+            "quartic form not positive (non-finite gram at direction %s)"
+            % np.round(V[bad], 4).tolist()
+        )
     worst = _argmin_eigenvalue(grams)
     return float(np.linalg.eigvalsh(grams[worst])[0]), V[worst]
 

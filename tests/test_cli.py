@@ -202,6 +202,30 @@ def test_negative_seeds_are_rejected_with_a_pointer(tmp_path, capsys):
     assert "input error at /task/seed" in capsys.readouterr().err
 
 
+def test_verify_example_epsilons_are_checked_with_a_pointer(tmp_path, capsys):
+    cases = (
+        ([], "/task/epsilons:"),
+        (0.1, "/task/epsilons:"),
+        ([0.1, float("nan")], "/task/epsilons/1:"),
+        ([float("inf")], "/task/epsilons/0:"),
+        ([0.1, "a"], "/task/epsilons/1:"),
+        ([0.05, -3.0], "/task/epsilons/1: quartic form not positive"),
+    )
+    for epsilons, message in cases:
+        doc = {"task": {"name": "verify-example", "example_id": 3, "epsilons": epsilons}}
+        assert main(["verify-example", _write(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error at " + message), err
+        assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("example_id", [1, 2, 3, 4, 5])
+def test_verify_example_passes_at_a_small_negative_epsilon(tmp_path, capsys, example_id):
+    doc = {"task": {"name": "verify-example", "example_id": example_id, "epsilons": [-0.01]}}
+    assert main(["verify-example", _write(tmp_path, doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["passed"] is True
+
+
 def test_reports_are_byte_stable(tmp_path):
     path = _write(tmp_path, SPEEDS_DOC)
     outs = []

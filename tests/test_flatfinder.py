@@ -6,8 +6,10 @@ from flagcurv.liealg import build_lie_algebra, _quat_to_real
 from flagcurv.minkowski import make_norm
 from flagcurv.curvature import _flatness_vectors, flag_curvature
 from flagcurv import numdiff
+from flagcurv import flatfinder
 from flagcurv.flatfinder import (
     ExampleParameterError,
+    _descend_pole,
     _extremal_pole,
     _flag_key,
     _flatness_scores,
@@ -261,9 +263,9 @@ def test_search_empty_when_no_commuting_pairs():
     assert [c for c in certs if c.verdict == "zero_flag"] == []
 
 
-def test_search_on_symmetric_space(sp2):
+def _u2_in_sp2(sp2):
     # u(2) inside sp(2): complex entries among the quaternions
-    n, zero = 2, np.zeros((2, 2), dtype=complex)
+    zero = np.zeros((2, 2), dtype=complex)
     mats = []
     for (i, j, val) in ((0, 0, 1j), (1, 1, 1j)):
         A = zero.copy()
@@ -273,7 +275,11 @@ def test_search_on_symmetric_space(sp2):
     mats.append(_quat_to_real(A, zero))
     A = zero.copy(); A[0, 1] = 1j; A[1, 0] = 1j
     mats.append(_quat_to_real(A, zero))
-    X = build_space(sp2, [S.explicit(mats)])
+    return build_space(sp2, [S.explicit(mats)])
+
+
+def test_search_on_symmetric_space(sp2):
+    X = _u2_in_sp2(sp2)
     assert X.dim_m == 6
     F = make_norm("riemannian", {"q": np.eye(X.dim_m)}, X, seed=0)
     certs = generic_flat_search(X, F, budget=15, seed=2)
@@ -304,9 +310,9 @@ def test_batched_flatness_scores_match_single_rows(so6_circle):
     assert len(axes) == 6
     U = np.vstack([axes, np.random.default_rng(5).standard_normal((20, X.dim_m))])
     U /= F.value_many(U)[:, None]
-    scores, vs = _flatness_scores(X, F, U)
+    scores, vs, _ = _flatness_scores(X, F, U)
     for u, score, v in zip(U, scores, vs):
-        (one,), (v_one,) = _flatness_scores(X, F, u)
+        (one,), (v_one,), _ = _flatness_scores(X, F, u)
         assert abs(one - score) <= 1e-12 * max(1.0, abs(score))
         assert v is not None and v_one is not None
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
@@ -319,17 +325,86 @@ def test_batched_flatness_scores_match_single_rows(so6_circle):
 
     X2 = build_space(build_lie_algebra("su", 2), [])
     F2 = make_norm("riemannian", {}, X2, seed=0)
-    scores, vs = _flatness_scores(X2, F2, np.random.default_rng(1).standard_normal((5, X2.dim_m)))
-    assert np.all(np.isinf(scores)) and vs == [None] * 5
+    scores, vs, grads = _flatness_scores(X2, F2, np.random.default_rng(1).standard_normal((5, X2.dim_m)))
+    assert np.all(np.isinf(scores)) and vs == [None] * 5 and grads == [None] * 5
 
 
 def test_search_verdicts_on_so6_circle_are_pinned(so6_circle):
     X, F = so6_circle
-    certs = generic_flat_search(X, F, budget=12, seed=0)
-    assert [c.verdict for c in certs] == [
-        "zero_flag", "zero_flag", "positive", "preconditions_failed", "preconditions_failed",
-    ]
-    assert sum(c.verdict == "zero_flag" for c in certs) == 2
+    for seed in (0, 1, 2):
+        certs = generic_flat_search(X, F, budget=12, seed=seed)
+        assert [c.verdict for c in certs] == [
+            "zero_flag", "zero_flag", "positive", "preconditions_failed", "preconditions_failed",
+        ]
+        assert sum(c.verdict == "zero_flag" for c in certs) == 2
+
+
+def _central_gradient(X, F, u, h=1e-6):
+    d = len(u)
+    P = np.concatenate([u + h * np.eye(d), u - h * np.eye(d)])
+    scores, _, _ = _flatness_scores(X, F, P / F.value_many(P)[:, None])
+    return (scores[:d] - scores[d:]) / (2.0 * h)
+
+
+@pytest.mark.parametrize("kind", ["quartic_perturbed", "riemannian", "alpha_beta"])
+def test_score_gradient_matches_central_differences(so6_circle, kind):
+    # quartic: the Cartan term (d_a g)v is live; riemannian: g is constant,
+    # so that term vanishes; alpha_beta: a non-quartic gram on a space whose
+    # random poles have a non-empty commutant
+    X, F = so6_circle
+    if kind != "quartic_perturbed":
+        F = make_norm(kind, {}, X, seed=0)
+    U = np.random.default_rng(11).standard_normal((4, X.dim_m))
+    U /= F.value_many(U)[:, None]
+    scores, vs, grads = _flatness_scores(X, F, U)
+    for u, score, v, grad in zip(U, scores, vs, grads):
+        assert np.isfinite(score) and v is not None and grad is not None
+        ref = _central_gradient(X, F, u)
+        assert np.linalg.norm(grad - ref) <= 1e-6 * np.linalg.norm(ref)
+        # the score depends on the line of u only
+        assert abs(grad @ u) <= 1e-12 * np.linalg.norm(grad) * np.linalg.norm(u)
+    # rows scoring at or above grad_below get no gradient
+    _, _, none = _flatness_scores(X, F, U, grad_below=scores.min())
+    assert all(g is None for g in none)
+    # nor do the root-plane axes: their commutant is larger than at nearby
+    # poles, so the score jumps off them
+    axes = np.stack([X.m_vector(root=root, xy=(1.0, 0.0)) for root in sorted(X.plane_slices)])
+    scores, _, none = _flatness_scores(X, F, axes / F.value_many(axes)[:, None])
+    assert np.all(np.isfinite(scores)) and all(g is None for g in none)
+
+
+def test_descent_falls_back_to_the_stencil_at_a_degenerate_pole(sp2, monkeypatch):
+    # u(2) inside sp(2) with q = I: at the axis pole e_4 the residual is
+    # exactly 0 on the whole 2-dimensional commutant, so its minimum is not
+    # simple and the scorer gives no gradient
+    X = _u2_in_sp2(sp2)
+    F = make_norm("riemannian", {"q": np.eye(X.dim_m)}, X, seed=0)
+    u = np.eye(X.dim_m)[4]
+    u = u / F.value(u)
+    (score,), (v,), (grad,) = _flatness_scores(X, F, u)
+    assert score == 0.0 and v is not None and grad is None
+    batches = []
+
+    def counted(X, F, U, **kw):
+        batches.append(np.atleast_2d(U).shape[0])
+        return _flatness_scores(X, F, U, **kw)
+
+    monkeypatch.setattr(flatfinder, "_flatness_scores", counted)
+    u2, v2, score2 = _descend_pole(X, F, u, score, v, grad)
+    assert X.dim_m in batches  # one forward-difference stencil batch
+    assert np.isfinite(score2) and v2 is not None
+
+
+def test_degenerate_minimum_at_generic_poles_has_no_gradient():
+    # the rank-3 Grassmannian so(7)/so(3)xso(4) with q = I: at a generic
+    # pole the commutant is 2-dimensional and stays so nearby, but the
+    # residual vanishes on all of it, so its minimum is not simple
+    X = build_space(build_lie_algebra("so", 7), [S.block(1, 2, 3), S.block(4, 5, 6, 7)])
+    F = make_norm("riemannian", {"q": np.eye(X.dim_m)}, X, seed=0)
+    U = np.random.default_rng(0).standard_normal((3, X.dim_m))
+    scores, vs, grads = _flatness_scores(X, F, U / F.value_many(U)[:, None])
+    assert np.abs(scores).max() < 1e-20 and all(v is not None for v in vs)
+    assert all(g is None for g in grads)
 
 
 def test_search_on_orthogonal_family():

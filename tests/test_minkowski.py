@@ -172,6 +172,13 @@ def test_convexity_scan_catches_indefinite_quartic():
         fundamental_tensor(F, direction)
 
 
+def test_make_norm_rejects_a_quartic_form_that_is_not_positive(sp2_circle21):
+    # F^4 < 0 in some directions: the scan's grams are not finite
+    with pytest.raises(NormValidationError, match="quartic form not positive"):
+        make_norm("quartic_perturbed", {"epsilon": -3.0}, sp2_circle21, seed=3)
+    assert make_norm("quartic_perturbed", {"epsilon": -0.01}, sp2_circle21, seed=3).epsilon == -0.01
+
+
 def _reference_argmin(grams):
     return int(np.argmin(np.linalg.eigvalsh(grams)[:, 0]))
 
