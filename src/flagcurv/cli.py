@@ -207,8 +207,11 @@ def validate_spec(doc):
     elif name != "verify-example":
         raise SpecError("", "missing required key 'group'")
 
+    isotropy = doc.get("isotropy", [])
+    if not isinstance(isotropy, list):
+        raise SpecError("/isotropy", "expected a list of isotropy pieces")
     pieces = []
-    for i, piece in enumerate(doc.get("isotropy", [])):
+    for i, piece in enumerate(isotropy):
         ptr = "/isotropy/%d" % i
         _require_keys(piece, ptr, ("type",), ("indices", "weights", "index", "matrices"))
         kind = piece["type"]
@@ -370,10 +373,11 @@ def _space_summary(X):
     }
 
 
-def _vector_from_spec(X, vec):
-    if "vector" in vec:
-        return X.m_vector(vector=vec["vector"])
-    return X.m_vector(root=vec["root"], xy=vec["xy"])
+def _vector_from_spec(X, vec, pointer):
+    try:
+        return X.m_vector(**vec)
+    except (KeyError, ValueError) as exc:
+        raise SpecError("%s/%s" % (pointer, "vector" if "vector" in vec else "root"), exc.args[0])
 
 
 def run(spec):
@@ -423,8 +427,8 @@ def run(spec):
         return 0, report
 
     if name == "curvature":
-        u = _vector_from_spec(X, task["u"])
-        v = _vector_from_spec(X, task["v"])
+        u = _vector_from_spec(X, task["u"], "/task/u")
+        v = _vector_from_spec(X, task["v"], "/task/v")
         cert = flag_curvature(X, F, u, v, tolerances=task.get("tolerances"))
         report["payload"] = {"certificate": cert.to_dict()}
         return 0, report

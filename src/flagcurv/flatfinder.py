@@ -21,8 +21,8 @@ The generic search scores a pole by the smallest flatness residual over
 its commutant in m and descends on that score with its exact gradient,
 read off the commutant SVD that scoring already does (_flatness_scores).
 Where the gradient is undefined, at a degenerate minimum or where the
-commutant dimension is about to change, a descent step falls back to a
-forward-difference stencil.
+commutant dimension is about to change, the descent stops and the pole is
+certified as scored.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .curvature import flag_curvature
 CLOSURE_TOL = 1e-10
 DEFAULT_EPSILONS = (0.05, 0.1, 0.2)
 EXTREMAL_STARTS = 6
+DESCENT_STEPS = 120
 # _flatness_scores: the exact gradient needs a simple minimum (relative
 # eigenvalue gap) and a locally constant kernel dimension (smallest
 # non-kernel singular value above, growth rates of the zero ones below,
@@ -631,10 +632,10 @@ def generic_flat_search(X, F, budget=200, seed=0, tolerances=None):
     Deterministic pole starts at the root-plane axes come first, then
     random points on the F-unit sphere.  Each start is scored as a batch of
     one and, unless already flat, refined by _descend_pole from its score,
-    v and exact gradient; the gradient is None (and the descent steps with
-    a forward-difference stencil) where the smallest residual eigenvalue
-    has a relative gap <= GRADIENT_GAP or the commutant dimension may
-    change nearby (see _flatness_scores).
+    v and exact gradient.  The gradient is None where the smallest residual
+    eigenvalue has a relative gap <= GRADIENT_GAP or the commutant dimension
+    may change nearby (see _flatness_scores); there the start, or the
+    iterate that reaches such a pole, is certified as scored.
     Returns certificates sorted canonically, flat flags first, followed by
     the best non-certified candidates.
     """
@@ -791,23 +792,17 @@ def _flatness_scores(X, F, U, grad_below=np.inf):
     return scores, vs, grads
 
 
-def _descend_pole(X, F, u, score, v, grad, max_iter=120):
+def _descend_pole(X, F, u, score, v, grad):
     """Projected-gradient refinement of the F-unit pole u from its score, v
-    and gradient.  The gradient is _flatness_scores' exact one; where that
-    is None (a degenerate minimum or a kernel dimension about to change,
-    as at the axis poles) the step scores the forward-difference stencil
-    (u + h e_i)/F as one _flatness_scores batch instead.  Each step takes
-    the first of up to 25 halved steps that improves the score; candidates
-    are scored with grad_below at that bound, so only the accepted one
-    pays for its gradient."""
-    h = 1e-6
-    for _ in range(max_iter):
+    and _flatness_scores' exact gradient.  Where that gradient is None (a
+    degenerate minimum or a kernel dimension about to change, as at the axis
+    poles) the descent stops and returns u, v and score as they are.  Each
+    of up to DESCENT_STEPS steps takes the first of up to 25 halved steps
+    that improves the score; candidates are scored with grad_below at that
+    bound, so only the accepted one pays for its gradient."""
+    for _ in range(DESCENT_STEPS):
         if grad is None:
-            P = u + h * np.eye(len(u))
-            s_plus, _, _ = _flatness_scores(X, F, P / F.value_many(P)[:, None], grad_below=-np.inf)
-            if not np.all(np.isfinite(s_plus)):
-                break
-            grad = (s_plus - score) / h
+            break
         gn = np.linalg.norm(grad)
         if gn < 1e-14 or score < 1e-18:
             break

@@ -53,6 +53,16 @@ def test_wrong_circle_length_is_schema_error():
     assert err.value.pointer == "/isotropy/0/weights"
 
 
+def test_non_list_isotropy_is_rejected_with_a_pointer(tmp_path, capsys):
+    doc = {"group": {"family": "su", "n": 3}, "isotropy": 5, "task": {"name": "check-space"}}
+    with pytest.raises(SpecError) as err:
+        validate_spec(doc)
+    assert err.value.pointer == "/isotropy"
+    assert main(["check-space", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error at /isotropy:") and "Traceback" not in err
+
+
 def test_empty_isotropy_parses():
     doc = {"group": {"family": "su", "n": 2}, "isotropy": [], "task": {"name": "check-space"}}
     spec = validate_spec(doc)
@@ -290,3 +300,35 @@ def test_check_space_with_involution(tmp_path, capsys):
     assert fps["total_dim"] == 4
     assert fps["quotient_dim"] == 3
     assert fps["notes"]["codimension_even"] is True
+
+
+@pytest.mark.parametrize(
+    "group,isotropy,u,v,message",
+    [
+        # the (1,-1,0,0) plane lies in the su(2) of h
+        (
+            {"family": "su", "n": 4},
+            [{"type": "block", "indices": [1, 2]}, {"type": "circle", "weights": [1, 1, -1, -1]}],
+            {"root": [1, -1, 0, 0]},
+            {"root": [0, 1, 0, -1]},
+            "/task/u/root: root plane (1, -1, 0, 0) is not contained in m",
+        ),
+        # (1,1,1) is not a root of su(3)
+        ({"family": "su", "n": 3}, [], {"root": [1, -1, 0]}, {"root": [1, 1, 1]},
+         "/task/v/root: root plane (1, 1, 1) is not contained in m"),
+        ({"family": "su", "n": 3}, [], {"vector": [1.0, 0.0]}, {"root": [1, 0, -1]},
+         "/task/u/vector: raw vector must have length 8"),
+    ],
+    ids=["plane-in-h", "not-a-root", "raw-vector-length"],
+)
+def test_curvature_vectors_outside_m_are_rejected_with_a_pointer(tmp_path, capsys, group, isotropy, u, v, message):
+    doc = {
+        "group": group,
+        "isotropy": isotropy,
+        "metric": {"kind": "riemannian", "seed": 0},
+        "task": {"name": "curvature", "u": u, "v": v},
+    }
+    assert main(["curvature", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error at " + message), captured.err
+    assert "Traceback" not in captured.err and captured.out == ""

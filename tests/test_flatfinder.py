@@ -373,7 +373,7 @@ def test_score_gradient_matches_central_differences(so6_circle, kind):
     assert np.all(np.isfinite(scores)) and all(g is None for g in none)
 
 
-def test_descent_falls_back_to_the_stencil_at_a_degenerate_pole(sp2, monkeypatch):
+def test_descent_stops_at_a_pole_without_a_gradient(sp2, monkeypatch):
     # u(2) inside sp(2) with q = I: at the axis pole e_4 the residual is
     # exactly 0 on the whole 2-dimensional commutant, so its minimum is not
     # simple and the scorer gives no gradient
@@ -391,8 +391,26 @@ def test_descent_falls_back_to_the_stencil_at_a_degenerate_pole(sp2, monkeypatch
 
     monkeypatch.setattr(flatfinder, "_flatness_scores", counted)
     u2, v2, score2 = _descend_pole(X, F, u, score, v, grad)
-    assert X.dim_m in batches  # one forward-difference stencil batch
-    assert np.isfinite(score2) and v2 is not None
+    assert batches == []  # the pole comes back as scored
+    assert u2 is u and v2 is v and score2 == score
+
+
+def test_axis_starts_are_scored_once(so6_circle, monkeypatch):
+    # the six root-plane axes of so(6)/S1(1,2,0) have no score gradient, so
+    # a search over them alone scores each start once and descends from none
+    X, F = so6_circle
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return _flatness_scores(*args, **kw)
+
+    monkeypatch.setattr(flatfinder, "_flatness_scores", counted)
+    certs = generic_flat_search(X, F, budget=6, seed=0)
+    assert len(calls) == 6
+    assert [c.verdict for c in certs] == [
+        "zero_flag", "zero_flag", "positive", "preconditions_failed", "preconditions_failed",
+    ]
 
 
 def test_degenerate_minimum_at_generic_poles_has_no_gradient():
