@@ -27,7 +27,6 @@ import numpy as np
 from .curvature import flag_curvature
 from .flatfinder import construct_example_flat, generic_flat_search, verify_closure_claims
 from .homspace import (
-    SubalgebraSpec,
     ad_rotation_speeds,
     build_space,
     diag_element,
@@ -336,21 +335,22 @@ def parse_space_spec(path):
 # ---------------------------------------------------------------------------
 
 
+# isotropy piece type -> the spec key of its data
+_PIECE_KEYS = {"block": "indices", "circle": "weights", "sp1_block": "index", "explicit": "matrices"}
+
+
 def _build_from_spec(spec):
+    """g and G/H; a piece that fails to build is reported at its data."""
     grp = spec["group"]
     g = build_lie_algebra(grp["family"], grp["n"])
-    pieces = []
-    for piece in spec["isotropy"]:
-        if piece["type"] == "block":
-            pieces.append(SubalgebraSpec.block(*piece["indices"]))
-        elif piece["type"] == "circle":
-            pieces.append(SubalgebraSpec.circle(*piece["weights"]))
-        elif piece["type"] == "sp1_block":
-            pieces.append(SubalgebraSpec.sp1_block(piece["index"]))
-        else:
-            pieces.append(SubalgebraSpec.explicit(piece["matrices"]))
-    X = build_space(g, pieces)
-    return g, X
+    pieces = [(p["type"], p[_PIECE_KEYS[p["type"]]]) for p in spec["isotropy"]]
+    try:
+        return g, build_space(g, pieces)
+    except ValueError as exc:
+        if not hasattr(exc, "piece_index"):
+            raise
+        kind = pieces[exc.piece_index][0]
+        raise SpecError("/isotropy/%d/%s" % (exc.piece_index, _PIECE_KEYS[kind]), str(exc))
 
 def _metric_params(metric):
     return {k: v for k, v in metric.items() if k not in ("kind", "seed")}
@@ -393,6 +393,9 @@ def run(spec):
     report["space"] = _space_summary(X)
 
     metric = spec["metric"]
+    q = metric.get("q")
+    if q is not None and {len(q)} | {len(row) for row in q} != {X.dim_m}:
+        raise SpecError("/metric/q", "expected a %d x %d matrix" % (X.dim_m, X.dim_m))
     F = make_norm(metric["kind"], _metric_params(metric), X, seed=metric["seed"])
     report["config"]["metric_effective"] = {
         "kind": F.kind,
@@ -407,7 +410,10 @@ def run(spec):
     if name == "check-space":
         payload = {"status": "ok"}
         if "involution" in task:
-            iota = diag_element(g, task["involution"])
+            try:
+                iota = diag_element(g, task["involution"])
+            except ValueError as exc:
+                raise SpecError("/task/involution/diag", str(exc))
             fps = fixed_point_space(X, iota)
             payload["fixed_point_space"] = {
                 "total_dim": fps.g.dim,
@@ -419,7 +425,10 @@ def run(spec):
         return 0, report
 
     if name == "speeds":
-        triples = ad_rotation_speeds(X, task["weights"])
+        try:
+            triples = ad_rotation_speeds(X, task["weights"])
+        except ValueError as exc:
+            raise SpecError("/task/weights", str(exc))
         report["payload"] = {
             "weights": task["weights"],
             "speeds": [{"root": list(r), "label": lab, "speed": s} for (r, lab, s) in triples],

@@ -19,10 +19,11 @@ maximizing orbit the ascent reached.
 
 The generic search scores a pole by the smallest flatness residual over
 its commutant in m and descends on that score with its exact gradient,
-read off the commutant SVD that scoring already does (_flatness_scores).
-Where the gradient is undefined, at a degenerate minimum or where the
-commutant dimension is about to change, the descent stops and the pole is
-certified as scored.
+read off the commutant SVD that scoring already does (_flatness_score)
+and formed only at the poles the descent accepts (_score_gradient).  Where
+the gradient is undefined, at a degenerate minimum or where the commutant
+dimension is about to change, the descent stops and the pole is certified
+as scored.
 """
 
 from __future__ import annotations
@@ -36,13 +37,13 @@ import scipy.linalg as sla
 from .liealg import build_lie_algebra, _orthonormal_rows
 from .homspace import SubalgebraSpec, ad_rotation_speeds, build_space
 from .minkowski import NormValidationError, make_norm, fundamental_tensor
-from .curvature import flag_curvature
+from .curvature import _bracket_rows, flag_curvature
 
 CLOSURE_TOL = 1e-10
 DEFAULT_EPSILONS = (0.05, 0.1, 0.2)
 EXTREMAL_STARTS = 6
 DESCENT_STEPS = 120
-# _flatness_scores: the exact gradient needs a simple minimum (relative
+# _score_gradient: the exact gradient needs a simple minimum (relative
 # eigenvalue gap) and a locally constant kernel dimension (smallest
 # non-kernel singular value above, growth rates of the zero ones below,
 # this fraction of max(1, s_max)); the Cartan term is a central difference
@@ -610,19 +611,16 @@ def verify_closure_claims(example, m_prime=None, flag_index=0, tol=CLOSURE_TOL):
 # ---------------------------------------------------------------------------
 
 
-def _commutant_in_m(X, U):
-    """Commutants in m of the rows u of U, pole line excluded, as
-    (W, s, Vt, k) from one stacked SVD W diag(s) Vt of [B(u); u/|u|], with
-    B(u) w = [u, w] (full bracket): row n's commutant is Vt[n, dim m - k[n]:].
-    As B(u) u = 0, the appended row lifts the pole's zero singular value to
-    1 and leaves the null_rows cutoff s <= 1e-9 max(1, s_max) as it is.
-    dim g + 1 > dim m, so the economy Vt is all of Vt."""
-    U = np.atleast_2d(U)
-    B = np.einsum("ije,ni->nej", X.full_bracket_tensor(), U)
-    Uh = U / np.linalg.norm(U, axis=1, keepdims=True)
-    w, s, vt = np.linalg.svd(np.concatenate([B, Uh[:, None, :]], axis=1), full_matrices=False)
-    k = np.count_nonzero(s <= 1e-9 * np.maximum(1.0, s[:, :1]), axis=1)
-    return w, s, vt, k
+def _commutant_in_m(X, u):
+    """Commutant in m of the pole u, pole line excluded, as (W, s, Vt, k)
+    from one SVD W diag(s) Vt of [B(u); u/|u|], with B(u) w = [u, w] (full
+    bracket): the commutant is Vt[dim m - k:].  As B(u) u = 0, the appended
+    row lifts the pole's zero singular value to 1 and leaves the null_rows
+    cutoff s <= 1e-9 max(1, s_max) as it is.  dim g + 1 > dim m, so the
+    economy Vt is all of Vt."""
+    B = np.einsum("ije,i->ej", X.full_bracket_tensor(), u)
+    w, s, vt = np.linalg.svd(np.vstack([B, u / np.linalg.norm(u)]), full_matrices=False)
+    return w, s, vt, int(np.count_nonzero(s <= 1e-9 * max(1.0, s[0])))
 
 
 def generic_flat_search(X, F, budget=200, seed=0, tolerances=None):
@@ -630,24 +628,19 @@ def generic_flat_search(X, F, budget=200, seed=0, tolerances=None):
     residual over the commutant, certify candidates.
 
     Deterministic pole starts at the root-plane axes come first, then
-    random points on the F-unit sphere.  Each start is scored as a batch of
-    one and, unless already flat, refined by _descend_pole from its score,
-    v and exact gradient.  The gradient is None where the smallest residual
-    eigenvalue has a relative gap <= GRADIENT_GAP or the commutant dimension
-    may change nearby (see _flatness_scores); there the start, or the
-    iterate that reaches such a pole, is certified as scored.
+    random points on the F-unit sphere.  Each start is scored here by
+    _flatness_score and, unless already flat, refined by _descend_pole.
+    The gradient is None where the smallest residual eigenvalue has a
+    relative gap <= GRADIENT_GAP or the commutant dimension may change
+    nearby (see _score_gradient); there the start, or the iterate that
+    reaches such a pole, is certified as scored.
     Returns certificates sorted canonically, flat flags first, followed by
     the best non-certified candidates.
     """
     rng = np.random.default_rng(seed)
-    nm = X.dim_m
-    starts = []
-    for root in sorted(X.plane_slices):
-        if len(starts) >= budget:
-            break
-        starts.append(X.m_vector(root=root, xy=(1.0, 0.0)))
+    starts = [X.m_vector(root=root, xy=(1.0, 0.0)) for root in sorted(X.plane_slices)][:budget]
     while len(starts) < budget:
-        w = rng.standard_normal(nm)
+        w = rng.standard_normal(X.dim_m)
         starts.append(w / np.linalg.norm(w))
 
     certified = []
@@ -655,11 +648,11 @@ def generic_flat_search(X, F, budget=200, seed=0, tolerances=None):
     seen = set()
     for w in starts:
         u = w / F.value(w)
-        (score,), (v,), (grad,) = _flatness_scores(X, F, u)
+        score, v, parts = _flatness_score(X, F, u)
         if v is None:
             continue
         if score > 1e-16:
-            u, v, score = _descend_pole(X, F, u, score, v, grad)
+            u, v, score = _descend_pole(X, F, u, score, v, parts)
         cert = flag_curvature(X, F, u, v, tolerances=tolerances)
         key = _flag_key(u, v)
         if key in seen:
@@ -675,28 +668,59 @@ def generic_flat_search(X, F, budget=200, seed=0, tolerances=None):
     return certified + [crt for _, crt in near[:3]]
 
 
+def _oriented(x):
+    """x or -x, whichever has its first entry that is nonzero at 7
+    decimals of x/|x| positive."""
+    r = np.round(x / np.linalg.norm(x), 7)
+    nz = r[r != 0]
+    return -x if len(nz) and nz[0] < 0 else x
+
+
 def _flag_key(u, v):
-    def canon(x):
-        x = np.asarray(x, dtype=float)
-        x = np.round(x / np.linalg.norm(x), 7)
-        nz = x[x != 0]
-        if len(nz) and nz[0] < 0:
-            x = -x
-        return tuple(x.tolist())
-
-    return (canon(u), canon(v))
+    return tuple(tuple(np.round(_oriented(x) / np.linalg.norm(x), 7).tolist()) for x in (u, v))
 
 
-def _flatness_scores(X, F, U, grad_below=np.inf):
-    """Smallest flatness residual over v in the commutant of each F-unit row
-    u of U, the v attaining it, and the residual's gradient in u for rows
-    scoring below grad_below; inf, None and None where the commutant is
-    empty.
+def _flatness_score(X, F, u):
+    """Smallest flatness residual over v in the commutant of the F-unit
+    pole u, the unit v attaining it, and the parts _score_gradient needs
+    (None where the minimum is not simple); inf, None and None where the
+    commutant is empty.
 
     The residual is v'Av + |r1|^2 at u/|u|, with M1 = [w_i, u]_m g_u,
     M2[i, j] = <[w_i, e_j]_m, u>_u, A = M1'M1 + M2'M2 and r1 = M1 u; one
-    stacked eigh per kernel dimension minimises it over unit v in the
-    commutant.
+    eigh minimises it over unit v in the commutant.  At a minimum lam that
+    is not simple (gap <= GRADIENT_GAP max(1, |lam|)), v is the normalized
+    projection onto the minimizing eigenspace of the first m-basis vector
+    it keeps most of, so v does not follow the SVD's commutant basis; v is
+    oriented as in _flag_key."""
+    W, sv, vt, k = _commutant_in_m(X, u)
+    if k == 0:
+        return np.inf, None, None
+    uh = u / np.linalg.norm(u)
+    g = F.gram_batch_closed(uh[None])[0]
+    N = _bracket_rows(X, uh)
+    M1 = N @ g
+    M2 = np.einsum("ijk,k->ij", X.m_bracket_tensor(), g @ uh)
+    r1 = M1 @ uh
+    A = M1.T @ M1 + M2.T @ M2
+    com = vt[len(u) - k:]
+    Ak = com @ A @ com.T
+    vals, vecs = np.linalg.eigh(0.5 * (Ak + Ak.T))
+    lam = vals[0]
+    near = vals - lam <= GRADIENT_GAP * max(1.0, abs(lam))
+    if near.sum() == 1:
+        v, parts = vecs[:, 0] @ com, (W, sv, vt, k, lam, g, N, M1, M2, r1, A)
+    else:
+        E = vecs[:, near].T @ com
+        p = np.einsum("ki,ki->i", E, E)  # the diagonal of the projector E'E
+        v, parts = E.T @ E[:, np.argmax(p > p.max() - 1e-9)], None
+    return lam + r1 @ r1, _oriented(v / np.linalg.norm(v)), parts
+
+
+def _score_gradient(X, F, u, v, parts):
+    """Gradient in u of the residual that _flatness_score minimised at the
+    F-unit pole u, from its v and parts; None where parts is None or the
+    kernel dimension k may change nearby.
 
     The gradient is exact where the minimum lam is simple (eigenvalue gap
     > GRADIENT_GAP max(1, |lam|)) and the kernel dimension k is locally
@@ -717,89 +741,47 @@ def _flatness_scores(X, F, U, grad_below=np.inf):
     tensor kills uh; (d_a g)v is a central difference of the closed-form
     gram along a.
     """
-    U = np.atleast_2d(U)
-    n, d = U.shape
-    W, sv, vt, k = _commutant_in_m(X, U)
-    unorm = np.linalg.norm(U, axis=1, keepdims=True)
-    Uh = U / unorm
-    gram = F.gram_batch_closed(Uh)
+    if parts is None:
+        return None
+    W, sv, vt, k, lam, g, N, M1, M2, r1, A = parts
+    r = len(u) - k
+    tol = GRADIENT_SPLIT * max(1.0, sv[0])
+    if sv[r - 1] <= tol:
+        return None
     bm, bg = X.m_bracket_tensor(), X.full_bracket_tensor()
-    N = np.einsum("ijk,nj->nik", bm, Uh)
-    M1 = N @ gram
-    gu = np.einsum("nij,nj->ni", gram, Uh)
-    M2 = np.einsum("ijk,nk->nij", bm, gu)
-    r1 = np.einsum("nij,nj->ni", M1, Uh)
-    A = M1.transpose(0, 2, 1) @ M1 + M2.transpose(0, 2, 1) @ M2
-    scores = np.full(n, np.inf)
-    vs = [None] * n
-    lam = np.zeros(n)
-    gap = np.full(n, np.inf)
-    V = np.zeros((n, d))
-    for dim in sorted(set(k.tolist()) - {0}):
-        rows = np.flatnonzero(k == dim)
-        com = vt[rows, d - dim:]
-        Ak = com @ A[rows] @ com.transpose(0, 2, 1)
-        vals, vecs = np.linalg.eigh(0.5 * (Ak + Ak.transpose(0, 2, 1)))
-        lam[rows] = vals[:, 0]
-        scores[rows] = vals[:, 0] + np.einsum("ni,ni->n", r1[rows], r1[rows])
-        if dim > 1:
-            gap[rows] = vals[:, 1] - vals[:, 0]
-        V[rows] = np.einsum("nk,nkd->nd", vecs[:, :, 0], com)
-        for row in rows:
-            vs[row] = V[row]
-    grads = [None] * n
-    ok = np.flatnonzero(scores < grad_below)
-    tol = GRADIENT_SPLIT * np.maximum(1.0, sv[ok, 0])
-    simple = (gap[ok] > GRADIENT_GAP * np.maximum(1.0, np.abs(lam[ok]))) & (sv[ok, d - k[ok] - 1] > tol)
-    ok, tol = ok[simple], tol[simple]
+    unorm = np.linalg.norm(u)
     # the parts of d[B(u); u/|u|][e_i] x = ([e_i, x]; x_i/|u|), x in the
     # kernel, outside the range of [B(u); u/|u|] are the rates at which the
     # zero singular values grow: nonzero where u sits on a stratum of larger k
-    live = np.arange(d) < (d - k[ok])[:, None]
-    Wr = (W[ok] * live[:, None, :])[:, None]
-    vk = vt[ok]
-    Bx = (vk @ bg.transpose(1, 0, 2).reshape(d, -1)).reshape(len(ok), d, d, bg.shape[2])
-    D = np.concatenate([Bx, vk[..., None] / unorm[ok, :, None, None]], axis=3)
-    D -= (D @ Wr) @ Wr.transpose(0, 1, 3, 2)
-    keep = np.where(live[:, :, None, None], 0.0, np.abs(D)).max(axis=(1, 2, 3)) <= tol
-    ok, live = ok[keep], live[keep]
-    if not len(ok):
-        return scores, vs, grads
-
-    V, g, uh, N, M1, M2, r1 = V[ok], gram[ok], Uh[ok], N[ok], M1[ok], M2[ok], r1[ok]
+    com, Wr = vt[r:], W[:, :r]
+    D = np.concatenate([np.einsum("xj,ije->xie", com, bg), com[:, :, None] / unorm], axis=2)
+    if np.abs(D - (D @ Wr) @ Wr.T).max() > tol:
+        return None
+    uh = u / unorm
     # the multiplier y of [B(u); u/|u|] v = 0, over the non-kernel rows
-    res = 2.0 * (np.einsum("nij,nj->ni", A[ok], V) - lam[ok, None] * V)
-    inv_s = np.divide(1.0, sv[ok], out=np.zeros((len(ok), d)), where=live)
-    y = np.einsum("nej,nj->ne", W[ok], inv_s * np.einsum("nij,nj->ni", vt[ok], res))
-    M1v = np.einsum("nij,nj->ni", M1, V)
-    a = np.einsum("nik,ni->nk", N, M1v)
-    an = np.sqrt(np.einsum("ni,ni->n", a, a))
+    y = Wr @ ((vt[:r] @ (2.0 * (A @ v - lam * v))) / sv[:r])
+    M1v = M1 @ v
+    a = N.T @ M1v
+    an = np.linalg.norm(a)
     h = GRADIENT_CARTAN_STEP
-    step = a * (h / np.maximum(an, 1e-300))[:, None]
-    Gp, Gm = F.gram_batch_closed(np.concatenate([uh + step, uh - step])).reshape(2, len(ok), d, d)
-    M2v = np.einsum("nij,nj->ni", M2, V)
-    inner = np.einsum("ijk,ni,nj->nk", bm, M2v, V) + np.einsum("nik,ni->nk", N, r1)
-    gamma = 2.0 * (
-        np.einsum("ijk,ni,nk->nj", bm, M1v, np.einsum("nij,nj->ni", g, V))
-        + np.einsum("nij,nj->ni", Gp - Gm, V) * (an / (2.0 * h))[:, None]
-        + np.einsum("nij,nj->ni", g, inner)
-        + np.einsum("nij,ni->nj", M2, r1)
-    )
-    gamma -= np.einsum("ni,ni->n", gamma, uh)[:, None] * uh
-    brk = np.einsum("ije,nj,ne->ni", bg, V, y[:, :-1])
-    for row, grad in zip(ok, (gamma - y[:, -1:] * V) / unorm[ok] - brk):
-        grads[row] = grad
-    return scores, vs, grads
+    step = a * (h / max(an, 1e-300))
+    Gp, Gm = F.gram_batch_closed(np.stack([uh + step, uh - step]))
+    inner = np.einsum("ijk,i,j->k", bm, M2 @ v, v) + N.T @ r1
+    gamma = 2.0 * (np.einsum("ijk,i,k->j", bm, M1v, g @ v) + (Gp - Gm) @ v * (an / (2.0 * h))
+                   + g @ inner + M2.T @ r1)
+    gamma -= (gamma @ uh) * uh
+    return (gamma - y[-1] * v) / unorm - np.einsum("ije,j,e->i", bg, v, y[:-1])
 
 
-def _descend_pole(X, F, u, score, v, grad):
+def _descend_pole(X, F, u, score, v, parts):
     """Projected-gradient refinement of the F-unit pole u from its score, v
-    and _flatness_scores' exact gradient.  Where that gradient is None (a
-    degenerate minimum or a kernel dimension about to change, as at the axis
-    poles) the descent stops and returns u, v and score as they are.  Each
-    of up to DESCENT_STEPS steps takes the first of up to 25 halved steps
-    that improves the score; candidates are scored with grad_below at that
-    bound, so only the accepted one pays for its gradient."""
+    and parts (_flatness_score).  The exact gradient (_score_gradient) is
+    formed at u and at each accepted step, never at a rejected candidate.
+    Where it is None (a degenerate minimum or a kernel dimension about to
+    change, as at the axis poles) the descent stops and returns u, v and
+    score as they are.  Each of up to DESCENT_STEPS steps takes the first
+    of up to 25 halved steps that improves the score."""
+    grad = _score_gradient(X, F, u, v, parts)
     for _ in range(DESCENT_STEPS):
         if grad is None:
             break
@@ -810,9 +792,10 @@ def _descend_pole(X, F, u, score, v, grad):
         for _ in range(25):
             cand = u - eta * grad
             cand = cand / F.value(cand)
-            (s_new,), (v_new,), (g_new,) = _flatness_scores(X, F, cand, grad_below=score - 1e-20)
+            s_new, v_new, p_new = _flatness_score(X, F, cand)
             if s_new < score - 1e-20:
-                u, score, v, grad = cand, s_new, v_new, g_new
+                u, score, v = cand, s_new, v_new
+                grad = _score_gradient(X, F, u, v, p_new)
                 break
             eta *= 0.5
         else:

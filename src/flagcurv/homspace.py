@@ -223,7 +223,8 @@ def build_space(g, spec, name=None):
     """Assemble G/H data from an isotropy specification.
 
     Raises ValueError("not a subalgebra") when the generated span fails to
-    close under the bracket.
+    close under the bracket; a ValueError raised by the i-th piece carries i
+    as piece_index.
     """
     if isinstance(spec, SubalgebraSpec):
         pieces = spec.pieces
@@ -236,36 +237,42 @@ def build_space(g, spec, name=None):
     torus_rows = []
     torus_weights = []
     has_explicit = False
-    for piece in pieces:
-        kind = piece[0]
-        if kind == "block":
-            idx = _block_indices(g, piece[1])
-            gen_rows.extend(g.from_matrix(m) for m in _block_generators(g.family, g.n, idx))
-            torus_rows.extend(_block_torus(g, idx, torus_weights))
-        elif kind == "circle":
-            mat, w, note = _circle_generator(g, piece[1])
-            row = g.from_matrix(mat)
-            gen_rows.append(row)
-            torus_rows.append(row)
-            torus_weights.append(np.asarray(w, dtype=int))
-            if note:
-                notes.setdefault("circle", []).append(note)
-        elif kind == "sp1_block":
-            if g.family != "sp":
-                raise ValueError("sp1_block pieces require an sp algebra")
-            i = piece[1] - 1
-            if i < 0 or i >= g.n:
-                raise ValueError("sp1_block index out of range")
-            rows = [g.from_matrix(m) for m in _unit_generators("sp", g.n, i, i)]
-            gen_rows.extend(rows)
-            torus_rows.append(rows[0])  # the i-unit direction
-            torus_weights.append(np.eye(g.n, dtype=int)[i])
-        elif kind == "explicit":
-            has_explicit = True
-            for m in piece[1]:
-                gen_rows.append(g.from_matrix(np.asarray(m, dtype=float)))
-        else:
-            raise ValueError("unknown isotropy piece %r" % (kind,))
+    for index, piece in enumerate(pieces):
+        try:
+            kind = piece[0]
+            if kind == "block":
+                idx = _block_indices(g, piece[1])
+                gen_rows.extend(g.from_matrix(m) for m in _block_generators(g.family, g.n, idx))
+                torus_rows.extend(_block_torus(g, idx, torus_weights))
+            elif kind == "circle":
+                mat, w, note = _circle_generator(g, piece[1])
+                row = g.from_matrix(mat)
+                gen_rows.append(row)
+                torus_rows.append(row)
+                torus_weights.append(np.asarray(w, dtype=int))
+                if note:
+                    notes.setdefault("circle", []).append(note)
+            elif kind == "sp1_block":
+                if g.family != "sp":
+                    raise ValueError("sp1_block pieces require an sp algebra")
+                i = piece[1] - 1
+                if i < 0 or i >= g.n:
+                    raise ValueError("sp1_block index out of range")
+                rows = [g.from_matrix(m) for m in _unit_generators("sp", g.n, i, i)]
+                gen_rows.extend(rows)
+                torus_rows.append(rows[0])  # the i-unit direction
+                torus_weights.append(np.eye(g.n, dtype=int)[i])
+            elif kind == "explicit":
+                has_explicit = True
+                mats = [np.asarray(m, dtype=float) for m in piece[1]]
+                if any(m.shape != g.basis.shape[1:] for m in mats):
+                    raise ValueError("explicit matrices must be %d x %d" % g.basis.shape[1:])
+                gen_rows.extend(g.from_matrix(m) for m in mats)
+            else:
+                raise ValueError("unknown isotropy piece %r" % (kind,))
+        except ValueError as err:
+            err.piece_index = index
+            raise
 
     if gen_rows:
         h_rows = _orthonormal_rows(np.stack(gen_rows))

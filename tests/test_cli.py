@@ -332,3 +332,35 @@ def test_curvature_vectors_outside_m_are_rejected_with_a_pointer(tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.err.startswith("input error at " + message), captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command,group,isotropy,metric,task,message",
+    [
+        ("speeds", {"family": "sp", "n": 3}, [{"type": "circle", "weights": [1, 3, 0]}], {},
+         {"name": "speeds", "weights": [1, 3]}, "/task/weights: expected 3 weights"),
+        ("check-space", {"family": "su", "n": 3}, [{"type": "block", "indices": [1, 4]}], {},
+         {"name": "check-space"}, "/isotropy/0/indices: block indices out of range"),
+        ("check-space", {"family": "sp", "n": 2}, [{"type": "sp1_block", "index": 3}], {},
+         {"name": "check-space"}, "/isotropy/0/index: sp1_block index out of range"),
+        ("check-space", {"family": "su", "n": 3}, [{"type": "circle", "weights": [1, 0, -1]}],
+         {"kind": "riemannian"}, {"name": "check-space", "involution": {"diag": [-1, 1]}},
+         "/task/involution/diag: expected 3 diagonal entries"),
+        ("check-space", {"family": "su", "n": 3}, [], {"kind": "riemannian", "q": [[1, 0], [0, 1]]},
+         {"name": "check-space"}, "/metric/q: expected a 8 x 8 matrix"),
+        ("check-space", {"family": "su", "n": 3}, [{"type": "explicit", "matrices": [[1]]}], {},
+         {"name": "check-space"}, "/isotropy/0/matrices: explicit matrices must be 6 x 6"),
+        ("check-space", {"family": "su", "n": 3}, [{"type": "explicit", "matrices": [[[0, 1], [-1, 0]]]}], {},
+         {"name": "check-space"}, "/isotropy/0/matrices: explicit matrices must be 6 x 6"),
+    ],
+    ids=["speeds-weights", "block-indices", "sp1-index", "involution-length", "q-size", "explicit-1x1",
+         "explicit-2x2"],
+)
+def test_specs_that_fail_after_validation_are_reported_with_a_pointer(
+        tmp_path, capsys, command, group, isotropy, metric, task, message):
+    doc = {"group": group, "isotropy": isotropy, "metric": metric, "task": task}
+    validate_spec(doc)  # the schema accepts the spec; building from it fails
+    assert main([command, _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error at " + message), captured.err
+    assert "Traceback" not in captured.err and captured.out == ""

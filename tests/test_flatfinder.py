@@ -12,8 +12,9 @@ from flagcurv.flatfinder import (
     _descend_pole,
     _extremal_pole,
     _flag_key,
-    _flatness_scores,
+    _flatness_score,
     _plane_rows,
+    _score_gradient,
     _stack_rows,
     _tm_rows,
     construct_example_flat,
@@ -304,17 +305,15 @@ def so6_circle():
     return X, make_norm("quartic_perturbed", {"epsilon": 0.1}, X, seed=0)
 
 
-def test_batched_flatness_scores_match_single_rows(so6_circle):
+def test_flatness_score_is_attained_by_its_v(so6_circle):
     X, F = so6_circle
     axes = [X.m_vector(root=root, xy=(1.0, 0.0)) for root in sorted(X.plane_slices)]
     assert len(axes) == 6
     U = np.vstack([axes, np.random.default_rng(5).standard_normal((20, X.dim_m))])
     U /= F.value_many(U)[:, None]
-    scores, vs, _ = _flatness_scores(X, F, U)
-    for u, score, v in zip(U, scores, vs):
-        (one,), (v_one,), _ = _flatness_scores(X, F, u)
-        assert abs(one - score) <= 1e-12 * max(1.0, abs(score))
-        assert v is not None and v_one is not None
+    for u in U:
+        score, v, _ = _flatness_score(X, F, u)
+        assert v is not None
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         assert abs(v @ u) < 1e-9 * np.linalg.norm(u)
         assert np.linalg.norm(X.bracket_full(u, v)) < 1e-9
@@ -325,8 +324,9 @@ def test_batched_flatness_scores_match_single_rows(so6_circle):
 
     X2 = build_space(build_lie_algebra("su", 2), [])
     F2 = make_norm("riemannian", {}, X2, seed=0)
-    scores, vs, grads = _flatness_scores(X2, F2, np.random.default_rng(1).standard_normal((5, X2.dim_m)))
-    assert np.all(np.isinf(scores)) and vs == [None] * 5 and grads == [None] * 5
+    for u in np.random.default_rng(1).standard_normal((5, X2.dim_m)):
+        score, v, parts = _flatness_score(X2, F2, u)
+        assert np.isinf(score) and v is None and parts is None
 
 
 def test_search_verdicts_on_so6_circle_are_pinned(so6_circle):
@@ -339,10 +339,15 @@ def test_search_verdicts_on_so6_circle_are_pinned(so6_circle):
         assert sum(c.verdict == "zero_flag" for c in certs) == 2
 
 
+def _gradient(X, F, u):
+    score, v, parts = _flatness_score(X, F, u)
+    return _score_gradient(X, F, u, v, parts)
+
+
 def _central_gradient(X, F, u, h=1e-6):
     d = len(u)
     P = np.concatenate([u + h * np.eye(d), u - h * np.eye(d)])
-    scores, _, _ = _flatness_scores(X, F, P / F.value_many(P)[:, None])
+    scores = np.array([_flatness_score(X, F, p)[0] for p in P / F.value_many(P)[:, None]])
     return (scores[:d] - scores[d:]) / (2.0 * h)
 
 
@@ -356,21 +361,50 @@ def test_score_gradient_matches_central_differences(so6_circle, kind):
         F = make_norm(kind, {}, X, seed=0)
     U = np.random.default_rng(11).standard_normal((4, X.dim_m))
     U /= F.value_many(U)[:, None]
-    scores, vs, grads = _flatness_scores(X, F, U)
-    for u, score, v, grad in zip(U, scores, vs, grads):
+    for u in U:
+        score, v, parts = _flatness_score(X, F, u)
+        grad = _score_gradient(X, F, u, v, parts)
         assert np.isfinite(score) and v is not None and grad is not None
         ref = _central_gradient(X, F, u)
         assert np.linalg.norm(grad - ref) <= 1e-6 * np.linalg.norm(ref)
         # the score depends on the line of u only
         assert abs(grad @ u) <= 1e-12 * np.linalg.norm(grad) * np.linalg.norm(u)
-    # rows scoring at or above grad_below get no gradient
-    _, _, none = _flatness_scores(X, F, U, grad_below=scores.min())
-    assert all(g is None for g in none)
-    # nor do the root-plane axes: their commutant is larger than at nearby
-    # poles, so the score jumps off them
+    # the root-plane axes have no gradient: their commutant is larger than
+    # at nearby poles, so the score jumps off them
     axes = np.stack([X.m_vector(root=root, xy=(1.0, 0.0)) for root in sorted(X.plane_slices)])
-    scores, _, none = _flatness_scores(X, F, axes / F.value_many(axes)[:, None])
-    assert np.all(np.isfinite(scores)) and all(g is None for g in none)
+    for u in axes / F.value_many(axes)[:, None]:
+        assert np.isfinite(_flatness_score(X, F, u)[0]) and _gradient(X, F, u) is None
+
+
+def test_gradient_is_formed_only_at_accepted_steps(so6_circle, monkeypatch):
+    # a random-start descent pays for one gradient at its start and one per
+    # accepted step; the line search's rejected candidates pay for none
+    X, F = so6_circle
+    u = np.random.default_rng(0).standard_normal(X.dim_m)
+    u /= F.value(u)
+    score, v, parts = _flatness_score(X, F, u)
+    assert score > 1e-16 and parts is not None
+    calls = {"grad": 0, "candidates": 0, "accepted": 0}
+    best = [score]
+
+    def counted_score(X, F, cand):
+        out = _flatness_score(X, F, cand)
+        calls["candidates"] += 1
+        if out[0] < best[0] - 1e-20:
+            calls["accepted"] += 1
+            best[0] = out[0]
+        return out
+
+    def counted_gradient(*args):
+        calls["grad"] += 1
+        return _score_gradient(*args)
+
+    monkeypatch.setattr(flatfinder, "_flatness_score", counted_score)
+    monkeypatch.setattr(flatfinder, "_score_gradient", counted_gradient)
+    _, _, score2 = _descend_pole(X, F, u, score, v, parts)
+    assert score2 == best[0] < score
+    assert calls["grad"] == calls["accepted"] + 1
+    assert calls["candidates"] > calls["accepted"] > 0
 
 
 def test_descent_stops_at_a_pole_without_a_gradient(sp2, monkeypatch):
@@ -381,18 +415,41 @@ def test_descent_stops_at_a_pole_without_a_gradient(sp2, monkeypatch):
     F = make_norm("riemannian", {"q": np.eye(X.dim_m)}, X, seed=0)
     u = np.eye(X.dim_m)[4]
     u = u / F.value(u)
-    (score,), (v,), (grad,) = _flatness_scores(X, F, u)
-    assert score == 0.0 and v is not None and grad is None
-    batches = []
+    score, v, parts = _flatness_score(X, F, u)
+    assert score == 0.0 and v is not None and parts is None
+    assert _score_gradient(X, F, u, v, parts) is None
+    scored = []
 
-    def counted(X, F, U, **kw):
-        batches.append(np.atleast_2d(U).shape[0])
-        return _flatness_scores(X, F, U, **kw)
+    def counted(X, F, u):
+        scored.append(u)
+        return _flatness_score(X, F, u)
 
-    monkeypatch.setattr(flatfinder, "_flatness_scores", counted)
-    u2, v2, score2 = _descend_pole(X, F, u, score, v, grad)
-    assert batches == []  # the pole comes back as scored
+    monkeypatch.setattr(flatfinder, "_flatness_score", counted)
+    u2, v2, score2 = _descend_pole(X, F, u, score, v, parts)
+    assert scored == []  # the pole comes back as scored
     assert u2 is u and v2 is v and score2 == score
+
+
+def test_degenerate_minimum_v_does_not_follow_the_commutant_basis(sp2, monkeypatch):
+    # at the same pole, rotating or reflecting the commutant rows that
+    # _commutant_in_m returns leaves v as it is
+    X = _u2_in_sp2(sp2)
+    F = make_norm("riemannian", {"q": np.eye(X.dim_m)}, X, seed=0)
+    u = np.eye(X.dim_m)[4]
+    u = u / F.value(u)
+    _, v, _ = _flatness_score(X, F, u)
+    commutant = flatfinder._commutant_in_m
+    for c, s, det in ((np.cos(0.7), np.sin(0.7), 1), (-1.0, 0.0, 1), (np.cos(2.0), np.sin(2.0), -1)):
+        def rotated(X, u):
+            W, sv, vt, k = commutant(X, u)
+            assert k == 2
+            vt = vt.copy()
+            vt[-2:] = np.array([[c, -s], [det * s, det * c]]) @ vt[-2:]
+            return W, sv, vt, k
+
+        monkeypatch.setattr(flatfinder, "_commutant_in_m", rotated)
+        score, v2, _ = flatfinder._flatness_score(X, F, u)
+        assert score < 1e-20 and np.abs(v2 - v).max() < 1e-12
 
 
 def test_axis_starts_are_scored_once(so6_circle, monkeypatch):
@@ -401,11 +458,11 @@ def test_axis_starts_are_scored_once(so6_circle, monkeypatch):
     X, F = so6_circle
     calls = []
 
-    def counted(*args, **kw):
+    def counted(*args):
         calls.append(1)
-        return _flatness_scores(*args, **kw)
+        return _flatness_score(*args)
 
-    monkeypatch.setattr(flatfinder, "_flatness_scores", counted)
+    monkeypatch.setattr(flatfinder, "_flatness_score", counted)
     certs = generic_flat_search(X, F, budget=6, seed=0)
     assert len(calls) == 6
     assert [c.verdict for c in certs] == [
@@ -420,9 +477,10 @@ def test_degenerate_minimum_at_generic_poles_has_no_gradient():
     X = build_space(build_lie_algebra("so", 7), [S.block(1, 2, 3), S.block(4, 5, 6, 7)])
     F = make_norm("riemannian", {"q": np.eye(X.dim_m)}, X, seed=0)
     U = np.random.default_rng(0).standard_normal((3, X.dim_m))
-    scores, vs, grads = _flatness_scores(X, F, U / F.value_many(U)[:, None])
-    assert np.abs(scores).max() < 1e-20 and all(v is not None for v in vs)
-    assert all(g is None for g in grads)
+    for u in U / F.value_many(U)[:, None]:
+        score, v, parts = _flatness_score(X, F, u)
+        assert abs(score) < 1e-20 and v is not None
+        assert parts is None and _score_gradient(X, F, u, v, parts) is None
 
 
 def test_search_on_orthogonal_family():
