@@ -396,7 +396,12 @@ def run(spec):
     q = metric.get("q")
     if q is not None and {len(q)} | {len(row) for row in q} != {X.dim_m}:
         raise SpecError("/metric/q", "expected a %d x %d matrix" % (X.dim_m, X.dim_m))
-    F = make_norm(metric["kind"], _metric_params(metric), X, seed=metric["seed"])
+    try:
+        F = make_norm(metric["kind"], _metric_params(metric), X, seed=metric["seed"])
+    except NormValidationError as exc:
+        if not hasattr(exc, "parameter"):
+            raise
+        raise SpecError("/metric/%s" % exc.parameter, str(exc))
     report["config"]["metric_effective"] = {
         "kind": F.kind,
         "seed": metric["seed"],

@@ -12,10 +12,11 @@ the flag is certified flat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .minkowski import fundamental_tensor
 
@@ -65,29 +66,39 @@ def _flatness_vectors(X, gram, u, v):
     return bug @ u, bug @ v, bvg @ u
 
 
-def _solve_u(gram, rhs):
-    """U with gram @ U = rhs, and the solve residual."""
-    try:
-        cho = sla.cho_factor(gram)
-    except np.linalg.LinAlgError:
-        raise ValueError("norm not strongly convex at u: Gram matrix is not positive definite")
-    U = sla.cho_solve(cho, rhs)
+def _solve_u(gram, rhs, factor=None):
+    """U with gram @ U = rhs, and the solve residual.
+
+    factor is gram's upper Cholesky factor from fundamental_tensor; without
+    it gram is factored here.  Non-finite input is rejected."""
+    if not np.isfinite(gram).all():
+        raise ValueError("array must not contain infs or NaNs")
+    if factor is None:
+        factor, info = dpotrf(gram, lower=0, clean=0)
+        if info:
+            raise ValueError("norm not strongly convex at u: Gram matrix is not positive definite")
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    U, _ = dpotrs(factor, rhs, lower=0)
     return U, float(np.abs(gram @ U - rhs).max())
 
 
 def u_tensor(X, F, u, v, gram=None, return_residual=False):
     """Solve for U in m with <U, w>_u = ([w,u]_m.v + [w,v]_m.u)_u / 2.
 
-    The solve goes through a symmetric positive definite factorization of
-    the fundamental-tensor Gram matrix; failure is reported as
-    non-convexity rather than regularized away.
+    The solve goes through the Cholesky factor of the fundamental-tensor
+    Gram matrix that fundamental_tensor's positivity check computed; a
+    gram passed in is checked to be finite and factored here.  Failure is
+    reported as non-convexity rather than regularized away.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    factor = None
     if gram is None:
-        gram = fundamental_tensor(F, u).gram
+        ft = fundamental_tensor(F, u)
+        gram, factor = ft.gram, ft.factor
     _, ruv, rvu = _flatness_vectors(X, gram, u, v)
-    U, res = _solve_u(gram, 0.5 * (ruv + rvu))
+    U, res = _solve_u(gram, 0.5 * (ruv + rvu), factor)
     return (U, res) if return_residual else U
 
 
@@ -95,7 +106,7 @@ def zero_conditions_residual(X, F, u, v, gram=None):
     """Maxima over the basis of |<[w,u]_m,u>_u|, |<[w,u]_m,v>_u|, |<[w,v]_m,u>_u|."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if np.linalg.norm(u) == 0.0:
+    if u @ u == 0.0:
         raise ValueError("u must be nonzero")
     if gram is None:
         gram = fundamental_tensor(F, u).gram
@@ -120,13 +131,14 @@ def flag_curvature(X, F, u, v, tolerances=None, gram_method="auto", gram_step=No
 
     u0 = np.asarray(u, dtype=float)
     v0 = np.asarray(v, dtype=float)
-    nu, nv = np.linalg.norm(u0), np.linalg.norm(v0)
+    nu, nv = math.sqrt(u0 @ u0), math.sqrt(v0 @ v0)
     if nu == 0.0 or nv == 0.0:
         raise ValueError("flag vectors must be nonzero")
     un, vn = u0 / nu, v0 / nv
 
     details = {"tolerances": dict(tol)}
-    comm = float(np.linalg.norm(X.bracket_full(un, vn)))
+    b = X.bracket_full(un, vn)
+    comm = math.sqrt(b @ b)
     indep = 1.0 - abs(float(un @ vn))
 
     def failed(reason, extra=None):
@@ -150,13 +162,14 @@ def flag_curvature(X, F, u, v, tolerances=None, gram_method="auto", gram_step=No
     if comm > tol["precondition"]:
         return failed("[u, v] != 0", {"commutator_residual": comm})
 
-    gram = fundamental_tensor(F, un, method=gram_method, step=gram_step).gram
+    ft = fundamental_tensor(F, un, method=gram_method, step=gram_step)
+    gram = ft.gram
     ruu, ruv, rvu = _flatness_vectors(X, gram, un, vn)
     r1, r2, r3 = (float(np.abs(r).max()) for r in (ruu, ruv, rvu))
     if r1 > tol["precondition"]:
         return failed("<[u,m]_m, u>_u != 0", {"first_condition_residual": r1})
 
-    U, solve_res = _solve_u(gram, 0.5 * (ruv + rvu))
+    U, solve_res = _solve_u(gram, 0.5 * (ruv + rvu), ft.factor)
     guu = float(un @ gram @ un)
     gvv = float(vn @ gram @ vn)
     guv = float(un @ gram @ vn)

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from . import numdiff
 from .homspace import invariant_blocks
@@ -50,15 +51,15 @@ class NormValidationError(ValueError):
     pass
 
 
-def _phi_eval(coeffs, s):
-    """phi, phi', phi'' for a polynomial with the given coefficient list."""
-    c = np.asarray(coeffs, dtype=float)
-    p = np.polynomial.polynomial
-    return (
-        p.polyval(s, c),
-        p.polyval(s, p.polyder(c)),
-        p.polyval(s, p.polyder(c, 2)),
-    )
+def _parameter_error(key, message):
+    """A NormValidationError caused by the make_norm parameter key alone,
+    which it carries as .parameter."""
+    err = NormValidationError(message)
+    err.parameter = key
+    return err
+
+
+_polyval = np.polynomial.polynomial.polyval
 
 
 def _quadratic_many(V, A):
@@ -70,8 +71,9 @@ def _quadratic_many(V, A):
 class MinkowskiNorm:
     """A positively 1-homogeneous strongly convex norm on m-coordinates.
 
-    Norms are immutable: the stacked quartic form is cached on first use,
-    and transform returns a new norm."""
+    Norms are immutable: the stacked quartic form, the phi-derivative
+    coefficients and the reference metric are cached on first use, and
+    transform returns a new norm."""
 
     kind: str
     dim: int
@@ -92,6 +94,13 @@ class MinkowskiNorm:
         M = np.stack([self.q] + [B for _, B in self.quartic_terms])
         return c, M
 
+    @cached_property
+    def _phi_coefficients(self):
+        """Coefficient arrays of phi, phi' and phi'' for polyval."""
+        p = np.polynomial.polynomial
+        c = np.asarray(self.phi, dtype=float)
+        return c, p.polyder(c), p.polyder(c, 2)
+
     def value_many(self, V):
         V = np.atleast_2d(np.asarray(V, dtype=float))
         if self.kind == "riemannian":
@@ -99,9 +108,7 @@ class MinkowskiNorm:
         if self.kind == "alpha_beta":
             alpha = np.sqrt(_quadratic_many(V, self.q))
             beta = V @ (self.q @ self.v0)
-            s = beta / alpha
-            phi, _, _ = _phi_eval(self.phi, s)
-            return alpha * phi
+            return alpha * _polyval(beta / alpha, self._phi_coefficients[0])
         if self.kind == "quartic_perturbed":
             c, M = self._quartic_forms
             p = np.einsum("kni,ni->kn", V @ M, V)
@@ -124,7 +131,7 @@ class MinkowskiNorm:
         (see the module docstring for why).
         """
         u = np.asarray(u, dtype=float)
-        if np.linalg.norm(u) == 0.0:
+        if u @ u == 0.0:
             raise ValueError("fundamental tensor is undefined at u = 0")
         if method == "auto":
             method = "closed" if self.kind in ("riemannian", "alpha_beta") else "fd"
@@ -148,7 +155,7 @@ class MinkowskiNorm:
             a = QV / alpha[:, None]
             b = Q @ self.v0
             s = (V @ b) / alpha
-            phi, dphi, ddphi = _phi_eval(self.phi, s)
+            phi, dphi, ddphi = (_polyval(s, c) for c in self._phi_coefficients)
             c3 = dphi * dphi + phi * ddphi
             A4 = phi * phi - s * phi * dphi
             A1 = -s * phi * dphi + s * s * c3
@@ -202,10 +209,15 @@ class MinkowskiNorm:
 
     def reference_riemannian(self):
         """For alpha_beta: the constant inner product induced on directions
-        orthogonal to v0, as a riemannian norm."""
+        orthogonal to v0, as a riemannian norm, built once per norm."""
         if self.kind != "alpha_beta":
             raise ValueError("reference metric is defined for alpha_beta norms only")
-        phi0, _, ddphi0 = _phi_eval(self.phi, 0.0)
+        return self._reference
+
+    @cached_property
+    def _reference(self):
+        c, _, ddc = self._phi_coefficients
+        phi0, ddphi0 = _polyval(0.0, c), _polyval(0.0, ddc)
         b = self.q @ self.v0
         q0 = phi0 * phi0 * self.q + phi0 * ddphi0 * np.outer(b, b)
         return MinkowskiNorm("riemannian", self.dim, q0, meta={"derived_from": "alpha_beta"})
@@ -221,28 +233,35 @@ class MinkowskiNorm:
 
 @dataclass
 class FundamentalTensor:
+    """The gram g_u at u and its upper Cholesky factor, as LAPACK potrf
+    leaves it (the strict lower triangle is not cleared)."""
+
     u: np.ndarray
     gram: np.ndarray
+    factor: np.ndarray = None
 
 
 def fundamental_tensor(F, u, method="auto", step=None):
     """Fundamental tensor of the norm at u, with positivity enforced.
 
+    The gram comes from F.gram, so method="auto" takes finite differences
+    for quartic norms and method="closed" the closed form.  One Cholesky
+    factorisation of the gram serves as the positivity check and is kept
+    as .factor, so the curvature solve does not factor again.
     Raises ValueError for u = 0 and NormValidationError when the Gram
     matrix fails to be positive definite at u.
     """
     u = np.asarray(u, dtype=float)
     G = F.gram(u, method=method, step=step)
     G = 0.5 * (G + G.T)
-    try:
-        np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
+    factor, info = dpotrf(G, lower=0, clean=0)
+    if info:
         raise NormValidationError("norm not strongly convex at the given direction")
     fval = F.value(u)
     rel = abs(float(u @ G @ u) - fval * fval) / max(fval * fval, 1e-300)
     if rel > 1e-5:
         raise RuntimeError("fundamental tensor fails g_u(u,u) = F(u)^2 (relative %.3e)" % rel)
-    return FundamentalTensor(u=u.copy(), gram=G)
+    return FundamentalTensor(u=u.copy(), gram=G, factor=factor)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +358,10 @@ def make_norm(kind, parameters, X, seed=0):
       phi          : alpha_beta profile coefficients [c0, c1, c2, ...];
                      odd entries must vanish (reversibility)
       q            : explicit quadratic matrix overriding the block build
+
+    A NormValidationError that one parameter causes alone (a list of the
+    wrong length or sign, a q that is not positive definite) carries that
+    parameter's key as .parameter.
     """
     parameters = dict(parameters or {})
     rng = np.random.default_rng(seed)
@@ -356,17 +379,19 @@ def make_norm(kind, parameters, X, seed=0):
         if scales is None:
             scales = 0.85 + 0.75 * rng.random(len(blocks))
         if len(scales) != len(blocks):
-            raise NormValidationError(
-                "expected %d block scales, got %d" % (len(blocks), len(scales))
+            raise _parameter_error(
+                "block_scales", "expected %d block scales, got %d" % (len(blocks), len(scales))
             )
         if min(scales) <= 0:
-            raise NormValidationError("block scales must be positive")
+            raise _parameter_error("block_scales", "block scales must be positive")
         Q = sum(float(s) * P for s, P in zip(scales, projs))
 
     try:
         np.linalg.cholesky(Q)
     except np.linalg.LinAlgError:
-        raise NormValidationError("quadratic part is not positive definite")
+        raise _parameter_error(
+            "q" if "q" in parameters else "block_scales", "quadratic part is not positive definite"
+        )
 
     samples = X.sample_isotropy(12, seed=seed + 17)
     q_res = max(np.abs(R.T @ Q @ R - Q).max() for R in samples) if samples else 0.0
@@ -388,7 +413,7 @@ def make_norm(kind, parameters, X, seed=0):
         if "v0" in parameters:
             v0 = np.asarray(parameters["v0"], dtype=float)
             if v0.shape != (nm,):
-                raise NormValidationError("v0 must be an m-coordinate vector of length %d" % nm)
+                raise _parameter_error("v0", "v0 must be an m-coordinate vector of length %d" % nm)
         else:
             v0 = _fixed_vector(X)
             if v0 is None:
@@ -398,9 +423,7 @@ def make_norm(kind, parameters, X, seed=0):
         if res > 1e-8:
             raise NormValidationError("v0 is not fixed by Ad(H) (residual %.3e)" % res)
         smax = float(np.sqrt(v0 @ Q @ v0))
-        grid = np.linspace(-smax, smax, 101)
-        vals, _, _ = _phi_eval(phi, grid)
-        if vals.min() <= 0:
+        if _polyval(np.linspace(-smax, smax, 101), phi).min() <= 0:
             raise NormValidationError("phi is not positive on the reachable range")
         F = MinkowskiNorm("alpha_beta", nm, Q, v0=v0, phi=phi, meta=meta)
 
@@ -409,11 +432,11 @@ def make_norm(kind, parameters, X, seed=0):
         if weights is None:
             weights = 0.4 + 0.8 * rng.random(len(blocks))
         if len(weights) != len(blocks):
-            raise NormValidationError(
-                "expected %d quartic weights, got %d" % (len(blocks), len(weights))
+            raise _parameter_error(
+                "weights", "expected %d quartic weights, got %d" % (len(blocks), len(weights))
             )
         if min(weights) < 0:
-            raise NormValidationError("quartic weights must be nonnegative")
+            raise _parameter_error("weights", "quartic weights must be nonnegative")
         terms = [(float(w), P) for w, P in zip(weights, projs)]
         eps = parameters.get("epsilon")
         auto = eps is None

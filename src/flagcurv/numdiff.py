@@ -15,10 +15,25 @@ swapped.  The Hessian is then bit-identical at x and -x even when f_batch
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 DEFAULT_STEP = 5e-3
 DEFAULT_LEVELS = 3
+
+
+@lru_cache(maxsize=16)
+def _half_stencil(d):
+    """The unit half-stencil in d dimensions and its pairs i < j, as
+    read-only arrays shared by every Hessian of that dimension."""
+    eye = np.eye(d)
+    iu, ju = np.triu_indices(d, 1)
+    half = np.concatenate([eye, eye[iu] + eye[ju], eye[iu] - eye[ju]])
+    for a in (half, iu, ju):
+        a.flags.writeable = False
+    return half, iu, ju
 
 
 def hessian(f_batch, x, step=DEFAULT_STEP, levels=DEFAULT_LEVELS):
@@ -30,12 +45,10 @@ def hessian(f_batch, x, step=DEFAULT_STEP, levels=DEFAULT_LEVELS):
     """
     x = np.asarray(x, dtype=float)
     d = len(x)
-    scale = max(np.linalg.norm(x), 1.0)
+    scale = max(math.sqrt(x @ x), 1.0)
     h = step * scale / 2.0 ** np.arange(levels)
 
-    eye = np.eye(d)
-    iu, ju = np.triu_indices(d, 1)
-    half = np.concatenate([eye, eye[iu] + eye[ju], eye[iu] - eye[ju]])
+    half, iu, ju = _half_stencil(d)
     offs = (h[:, None, None] * half).reshape(-1, d)
 
     def run(points):

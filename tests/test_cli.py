@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from flagcurv.cli import SpecError, canonical_json, main, parse_space_spec, run, validate_spec
@@ -334,6 +335,10 @@ def test_curvature_vectors_outside_m_are_rejected_with_a_pointer(tmp_path, capsy
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+# su(3)/S1(1,0,-1): dim m 7 in 4 invariant blocks
+SU3_CIRCLE = [{"type": "circle", "weights": [1, 0, -1]}]
+
+
 @pytest.mark.parametrize(
     "command,group,isotropy,metric,task,message",
     [
@@ -352,9 +357,21 @@ def test_curvature_vectors_outside_m_are_rejected_with_a_pointer(tmp_path, capsy
          {"name": "check-space"}, "/isotropy/0/matrices: explicit matrices must be 6 x 6"),
         ("check-space", {"family": "su", "n": 3}, [{"type": "explicit", "matrices": [[[0, 1], [-1, 0]]]}], {},
          {"name": "check-space"}, "/isotropy/0/matrices: explicit matrices must be 6 x 6"),
+        ("check-space", {"family": "su", "n": 3}, SU3_CIRCLE, {"block_scales": [1.0]},
+         {"name": "check-space"}, "/metric/block_scales: expected 4 block scales, got 1"),
+        ("check-space", {"family": "su", "n": 3}, SU3_CIRCLE, {"block_scales": [1.0, -1.0, 1.0, 1.0]},
+         {"name": "check-space"}, "/metric/block_scales: block scales must be positive"),
+        ("check-space", {"family": "su", "n": 3}, SU3_CIRCLE, {"weights": [1.0, 2.0]},
+         {"name": "check-space"}, "/metric/weights: expected 4 quartic weights, got 2"),
+        ("check-space", {"family": "su", "n": 3}, SU3_CIRCLE, {"kind": "alpha_beta", "v0": [1.0, 0.0]},
+         {"name": "check-space"}, "/metric/v0: v0 must be an m-coordinate vector of length 7"),
+        ("check-space", {"family": "su", "n": 3}, SU3_CIRCLE,
+         {"kind": "riemannian", "q": np.diag([-1.0, 1, 1, 1, 1, 1, 1]).tolist()},
+         {"name": "check-space"}, "/metric/q: quadratic part is not positive definite"),
     ],
     ids=["speeds-weights", "block-indices", "sp1-index", "involution-length", "q-size", "explicit-1x1",
-         "explicit-2x2"],
+         "explicit-2x2", "block-scales-length", "block-scales-sign", "weights-length", "v0-length",
+         "q-not-positive-definite"],
 )
 def test_specs_that_fail_after_validation_are_reported_with_a_pointer(
         tmp_path, capsys, command, group, isotropy, metric, task, message):

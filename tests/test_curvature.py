@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from flagcurv.homspace import build_space
-from flagcurv.minkowski import make_norm, fundamental_tensor
+from flagcurv.minkowski import MinkowskiNorm, NormValidationError, make_norm, fundamental_tensor
 from flagcurv.curvature import (
+    _solve_u,
     alpha_beta_comparison,
     flag_curvature,
     u_tensor,
@@ -282,3 +283,60 @@ def test_small_curvature_with_failing_residuals_is_inconclusive(coupled_sp2):
     cert = flag_curvature(X, F, u, v, tolerances={"zero_curvature": 1.0})
     assert cert.zero_residuals[1] > 1e-3
     assert cert.verdict == "inconclusive"
+
+
+def _ab_flag(X):
+    F = make_norm("alpha_beta", {"phi": [1.0, 0.0, 0.35, 0.0, 0.06]}, X, seed=4)
+    u = X.m_vector(root=(1, 0, -1, 0), xy=(0.6, 0.8))
+    v = X.m_vector(root=(0, 1, 0, -1), xy=(0.3, -0.9)) + 0.4 * u
+    return X, F, u, v
+
+
+@pytest.mark.parametrize("kind", ["quartic", "alpha_beta"])
+def test_flag_curvature_solve_matches_a_separate_factorisation(catalog3, su4_onecircle, kind):
+    # flag_curvature solves with the factor of fundamental_tensor's positivity
+    # check; u_tensor given the gram factors it again, as scipy's cho_factor does
+    import scipy.linalg as sla
+
+    X, F, u, v = catalog3 if kind == "quartic" else _ab_flag(su4_onecircle)
+    cert = flag_curvature(X, F, u, v)
+    assert cert.verdict != "preconditions_failed"
+    un, vn = u / np.linalg.norm(u), v / np.linalg.norm(v)
+    G = fundamental_tensor(F, un).gram
+    U, res = u_tensor(X, F, un, vn, gram=G, return_residual=True)
+    assert cert.u_vector.tobytes() == U.tobytes()
+    assert cert.solve_residual == res
+    U_own, res_own = u_tensor(X, F, un, vn, return_residual=True)
+    assert U_own.tobytes() == U.tobytes() and res_own == res
+    rhs = G @ U
+    assert sla.cho_solve(sla.cho_factor(G), rhs).tobytes() == _solve_u(G, rhs)[0].tobytes()
+
+
+def test_non_positive_definite_grams_are_rejected_with_their_messages(catalog3):
+    Q = np.diag([1.0, -0.5, 1.0])
+    with pytest.raises(NormValidationError, match="^norm not strongly convex at the given direction$"):
+        fundamental_tensor(MinkowskiNorm("riemannian", 3, Q), np.array([1.0, 0.0, 0.0]))
+    message = "^norm not strongly convex at u: Gram matrix is not positive definite$"
+    with pytest.raises(ValueError, match=message):
+        _solve_u(Q, np.ones(3))
+    X, F, u, v = catalog3
+    G = -np.eye(X.dim_m)
+    with pytest.raises(ValueError, match=message):
+        u_tensor(X, F, u, v, gram=G)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_u_tensor_rejects_a_non_finite_gram(catalog3, bad):
+    X, F, u, v = catalog3
+    G = fundamental_tensor(F, u / np.linalg.norm(u)).gram.copy()
+    G[1, 2] = G[2, 1] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+        u_tensor(X, F, u, v, gram=G)
+
+
+def test_alpha_beta_comparison_repeats_on_one_norm(su4_onecircle):
+    # the reference metric is cached on the norm; a second call must not drift
+    X, F, u, v = _ab_flag(su4_onecircle)
+    first = alpha_beta_comparison(X, F, u, v)
+    assert alpha_beta_comparison(X, F, u, v) == first
+    assert F.reference_riemannian() is F.reference_riemannian()

@@ -276,3 +276,29 @@ def test_quartic_internal_closed_form_matches_fd(sp2_circle21, quartic):
             u /= np.linalg.norm(u)
             diff = np.abs(F.gram(u, method="fd") - F.gram(u, method="closed")).max()
             assert diff < 1e-7, diff
+
+
+def _fresh(F):
+    """The same norm as a new object, with nothing cached."""
+    return MinkowskiNorm(F.kind, F.dim, F.q, v0=F.v0, phi=F.phi, meta=dict(F.meta))
+
+
+def test_reference_metric_cache_does_not_leak_across_transform(alpha_beta):
+    F = alpha_beta
+    q_before = F.reference_riemannian().q.copy()
+    S = np.eye(F.dim) + 0.1 * np.random.default_rng(5).standard_normal((F.dim, F.dim))
+    Ft = F.transform(S)
+    assert np.array_equal(Ft.reference_riemannian().q, _fresh(Ft).reference_riemannian().q)
+    assert not np.array_equal(Ft.reference_riemannian().q, q_before)
+    assert np.array_equal(F.reference_riemannian().q, q_before)
+
+
+def test_cached_phi_derivatives_are_polyder(alpha_beta):
+    p = np.polynomial.polynomial
+    c, dc, ddc = alpha_beta._phi_coefficients
+    assert np.array_equal(c, alpha_beta.phi)
+    assert np.array_equal(dc, p.polyder(alpha_beta.phi))
+    assert np.array_equal(ddc, p.polyder(alpha_beta.phi, 2))
+    # and the closed gram through them is the one a fresh norm computes
+    V = np.random.default_rng(6).standard_normal((5, alpha_beta.dim))
+    assert np.array_equal(alpha_beta.gram_batch_closed(V), _fresh(alpha_beta).gram_batch_closed(V))

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from flagcurv import numdiff
 from flagcurv.minkowski import make_norm
@@ -57,3 +58,17 @@ def test_fd_grams_are_exactly_reversible(sp2_circle21):
             u = rng.standard_normal(F.dim)
             u /= np.linalg.norm(u)
             assert np.array_equal(F.gram(u, method="fd"), F.gram(-u, method="fd"))
+
+
+def test_cached_half_stencil_is_read_only_and_shared():
+    # every Hessian of one dimension shares these arrays, so none may write them
+    half, iu, ju = numdiff._half_stencil(D)
+    assert numdiff._half_stencil(D)[0] is half
+    assert half.shape == (D * D, D) and list(zip(iu, ju))[:2] == [(0, 1), (0, 2)]
+    for a in (half, iu, ju):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    x = np.linspace(-1.0, 1.0, D)
+    H = numdiff.hessian(quartic, x)
+    numdiff.hessian(lambda V: (V * V).sum(axis=1), np.ones(D - 1))
+    assert np.array_equal(numdiff.hessian(quartic, x), H)
