@@ -692,6 +692,27 @@ def ad_rotation_speeds(X, torus_weights, datum=None):
     return out
 
 
+def _commutant_system(ops, nm):
+    """The commutator [S, A] for every A in ops, as a linear map of the
+    packed upper triangle of a symmetric S (np.triu_indices order): one
+    block of nm * nm rows per op, one column per packed entry.
+
+    Each op's block comes from all the packed unit symmetric matrices E at
+    once.  A row of E holds one unit entry at most, so every entry of
+    E A - A E is an entry of A or a difference of two, exactly as in a
+    product formed column by column.  The temporaries are the size of one
+    op's block."""
+    iu = np.triu_indices(nm)
+    k = len(iu[0])
+    E = np.zeros((k, nm, nm))
+    E[np.arange(k), iu[0], iu[1]] = 1.0
+    E[np.arange(k), iu[1], iu[0]] = 1.0
+    mat = np.empty((len(ops) * nm * nm, k))
+    for a, A in enumerate(ops):
+        mat[a * nm * nm:(a + 1) * nm * nm] = (E @ A - A @ E).reshape(k, nm * nm).T
+    return mat
+
+
 def invariant_blocks(X, seed=0):
     """Finest Ad(H)-invariant orthogonal splitting of m, via the commutant.
 
@@ -704,32 +725,17 @@ def invariant_blocks(X, seed=0):
     if X.dim_h == 0:
         return [np.eye(nm)]
     ops = [X.m_basis @ X.g.ad(h) @ X.m_basis.T for h in X.h_basis]
-    iu = np.triu_indices(nm)
-    k = len(iu[0])
-
-    def unpack(vec):
-        S = np.zeros((nm, nm))
-        S[iu] = vec
-        S = S + S.T - np.diag(np.diag(S))
-        return S
-
     if "commutant" not in X._cache:
-        # commutator [S, A] as a linear map of the packed symmetric vector
-        mat = np.zeros((len(ops) * nm * nm, k))
-        for col in range(k):
-            e = np.zeros(k)
-            e[col] = 1.0
-            S = unpack(e)
-            block = np.concatenate([(S @ A - A @ S).ravel() for A in ops])
-            mat[:, col] = block
-        X._cache["commutant"] = null_rows(mat, 1e-10)
+        X._cache["commutant"] = null_rows(_commutant_system(ops, nm), 1e-10)
     null = X._cache["commutant"]
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(null.shape[0])
     # kernel vectors as contiguous columns: the basis eigh returns inside a
     # degenerate eigenvalue of S, and so every pole later maximized over a
     # block, follows the last bits of this product
-    S = unpack(np.ascontiguousarray(null.T) @ coeffs)
+    S = np.zeros((nm, nm))
+    S[np.triu_indices(nm)] = np.ascontiguousarray(null.T) @ coeffs
+    S = S + S.T - np.diag(np.diag(S))
     S = 0.5 * (S + S.T)
     vals, vecs = np.linalg.eigh(S)
     spread = max(vals.max() - vals.min(), 1.0)

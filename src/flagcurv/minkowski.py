@@ -10,10 +10,16 @@ Three families are supported:
 All three are positively 1-homogeneous and reversible by construction;
 Ad(H)-invariance and strong convexity are validated numerically at build
 time.  The convexity scan reads the smallest eigenvalue of the closed-form
-grams at 4096 random unit directions (of q alone for riemannian norms).  It
-eigensolves only the chunks of grams that a Cholesky factorisation, shifted
-by the best value so far plus a margin, cannot rule out, and reports
-exactly the value and direction of the full scan.
+grams at 4096 random unit directions (of q alone for riemannian norms), and
+reports exactly the value and direction of the full scan.  For a quartic
+norm with every c_k >= 0 (below) it first bounds the smallest eigenvalue at
+every direction from the quadratics v'M_k v alone: the gram is
+(sum_k c_k p_k M_k + a positive semidefinite rest) / F^2, and Weyl's
+inequality bounds the first term in a fixed basis where the M_k are nearly
+diagonal.  Grams are formed only where that bound cannot rule a direction
+out, 256 of 4096 for the block-built norms.  Every gram the scan forms is
+eigensolved only in the chunks that a Cholesky factorisation, shifted by
+the best value so far plus a margin, cannot rule out.
 
 The quartic family is one stacked form, F^4 = sum_k c_k (v'M_k v)^2 with
 M = (Q, B_1, ...) and c = (1, eps w_1, ...), stacked once per norm.
@@ -40,9 +46,11 @@ from .homspace import invariant_blocks
 from .liealg import null_rows
 
 CONVEXITY_DIRECTIONS = 4096
-# _argmin_eigenvalue: grams per screened chunk, and the Cholesky shift above
-# the best value so far, relative to max(1, max|G|) and far above the
-# backward error of the factorisation
+# grams per screened chunk, and the margin above the best value so far that
+# a Cholesky shift (_argmin_eigenvalue) or an eigenvalue bound
+# (_convexity_scan) must clear to rule a gram out, relative to max(1, a
+# bound on |G|) and far above the backward error of the factorisation, of
+# eigvalsh and of the bound itself
 _SCREEN_CHUNK = 256
 _SCREEN_MARGIN = 1e-9
 
@@ -93,6 +101,30 @@ class MinkowskiNorm:
         c = np.array([1.0] + [self.epsilon * w for w, _ in self.quartic_terms])
         M = np.stack([self.q] + [B for _, B in self.quartic_terms])
         return c, M
+
+    @cached_property
+    def _diagonal_split(self):
+        """(d, e, s) for the eigenvalue bound of _gram_bounds, or None where
+        no bound holds: for another kind, or when some c_k < 0.
+
+        O is the eigh basis of a fixed generic combination of the forms M_k;
+        d_k = diag(O'M_k O), e_k = ||O'M_k O - diag d_k||_2 and
+        s_k = ||M_k||_2.  Commuting forms, such as the block projectors
+        make_norm stacks, share that basis, so there e_k is at rounding
+        level."""
+        if self.kind != "quartic_perturbed":
+            return None
+        c, M = self._quartic_forms
+        if (c < 0).any():
+            return None
+        mix = np.random.default_rng(0).standard_normal(len(c))
+        O = np.linalg.eigh(np.tensordot(mix, M, 1))[1]
+        R = O.T @ M @ O
+        R = 0.5 * (R + R.transpose(0, 2, 1))
+        d = np.einsum("kii->ki", R)
+        e = np.linalg.norm(R - d[:, :, None] * np.eye(self.dim), 2, axis=(1, 2))
+        s = np.linalg.norm(M, 2, axis=(1, 2))
+        return d, e, s
 
     @cached_property
     def _phi_coefficients(self):
@@ -281,10 +313,14 @@ def _argmin_eigenvalue(grams):
 
     Chunks of _SCREEN_CHUNK grams are visited by rising smallest diagonal
     entry, an upper bound on the smallest eigenvalue; the order only
-    affects speed.  Every chunk after the first is skipped when its shifted
-    Cholesky screen succeeds (see _convexity_scan), and otherwise gets
-    eigvalsh, which treats each gram alone as the full stack would.  The
-    grams must be finite."""
+    affects speed.  Every chunk after the first is skipped when the batched
+    Cholesky factorisation of chunk - (best + margin) I succeeds: then every
+    gram in the chunk has its smallest eigenvalue above best + margin, up
+    to a backward error of order d u max|G| (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 10) far below the margin, so eigvalsh
+    would return more than best for each of them.  A chunk that fails the
+    screen gets eigvalsh, which treats each gram alone as the full stack
+    would.  The grams must be finite."""
     d = grams.shape[-1]
     order = np.argsort(np.einsum("nii->ni", grams).min(axis=1), kind="stable")
     margin = _SCREEN_MARGIN * max(1.0, float(np.abs(grams).max()))
@@ -307,38 +343,103 @@ def _argmin_eigenvalue(grams):
     return best_idx
 
 
+def _not_positive(V, ok):
+    """The error for a quartic form that is not positive, naming the first
+    row of V where ok is False."""
+    return NormValidationError(
+        "quartic form not positive (non-finite gram at direction %s)"
+        % np.round(V[np.argmin(ok)], 4).tolist()
+    )
+
+
+def _gram_bounds(F, V):
+    """Bounds (low, high) on the smallest eigenvalue and on the norm of the
+    closed-form gram at every row of V, from the quadratics p_k = v'M_k v
+    alone, or None where F._diagonal_split gives no bound.  Raises
+    NormValidationError where F^4 is not positive.
+
+    With G = F^4 and r = sqrt(G), the gram is (A + B) / r with
+    A = sum_k c_k p_k M_k and B = 2 sum_k c_k (M_k v)(M_k v)' - 2 D D' / G,
+    D = sum_k c_k p_k M_k v.  For c_k >= 0, B is positive semidefinite by
+    Cauchy-Schwarz, (x'D)^2 <= G sum_k c_k (x'M_k v)^2, so the gram's
+    smallest eigenvalue is at least that of A / r, and by Weyl's inequality
+    in the basis O of F._diagonal_split that is at least
+    (min_i sum_k c_k p_k d_k[i] - sum_k |c_k p_k| e_k) / r.  The norm of the
+    gram is at most (sum_k |c_k p_k| s_k + 2 sum_k c_k |M_k v|^2) / r."""
+    split = F._diagonal_split
+    if split is None:
+        return None
+    d, e, s = split
+    c, M = F._quartic_forms
+    MV = V @ M
+    p = np.einsum("kni,ni->kn", MV, V)
+    cp = c[:, None] * p
+    G = np.einsum("kn,kn->n", cp, p)
+    ok = np.isfinite(G) & (G > 0)
+    if not ok.all():
+        raise _not_positive(V, ok)
+    r = np.sqrt(G)
+    acp = np.abs(cp)
+    low = ((cp.T @ d).min(axis=1) - e @ acp) / r
+    high = (s @ acp + 2.0 * (c @ np.einsum("kni,kni->kn", MV, MV))) / r
+    return low, high
+
+
 def _convexity_scan(F, count=CONVEXITY_DIRECTIONS, seed=1):
     """Smallest gram eigenvalue over count random unit directions, and the
-    direction that attains it.  A riemannian gram is q in every direction,
-    so its scan reads the smallest eigenvalue of q, which every direction
-    attains.
+    direction that attains it: exactly the value and direction of the full
+    scan, np.argmin(np.linalg.eigvalsh(grams)[:, 0]) over the closed-form
+    grams at all of them, the first index on an equal value.  A riemannian
+    gram is q in every direction, so its scan reads the smallest eigenvalue
+    of q, which every direction attains.
 
-    The other kinds screen their closed-form grams in chunks.  When the
-    batched Cholesky factorisation of chunk - (best + margin) I succeeds,
-    every gram in the chunk has its smallest eigenvalue above best + margin,
-    up to a backward error of order d u max|G| (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 10) far below the margin, so
-    eigvalsh would return more than best for each of them and the chunk
-    cannot hold the minimum.  Only chunks that fail the screen are
-    eigensolved, and the value and direction returned are exactly those of
-    the full eigvalsh scan.
+    A quartic norm with every c_k >= 0 is screened by _gram_bounds first:
+    a lower bound on the smallest eigenvalue at every direction, and an
+    upper bound on the norm of every gram, which sets the margin to
+    _SCREEN_MARGIN * max(1, the largest upper bound).  The grams of the
+    _SCREEN_CHUNK directions with the lowest bound are formed and give the
+    best value; then only the directions whose bound is at most best +
+    margin are formed as well.  At a skipped direction the smallest
+    eigenvalue exceeds best + margin, so eigvalsh, whose backward error is
+    of order d u |G| (Golub and Van Loan, Matrix Computations, ch. 8), far
+    below the margin, would return more than best, and the direction cannot
+    hold the minimum.  Block-built norms have commuting forms, where the
+    bound is tight and 256 grams are formed; where the forms do not
+    commute it is looser and more are formed.  A norm without a bound
+    (alpha_beta, a negative epsilon) forms all count grams in one batch.  The formed grams go through _argmin_eigenvalue, which
+    eigensolves only the chunks a shifted Cholesky screen cannot rule out.
 
-    A non-finite gram means F^4 is not positive at that direction (a
-    negative epsilon too large for the quartic form) and raises
-    NormValidationError."""
+    F^4 not positive at a direction (a negative epsilon too large for the
+    quartic form), and so a non-finite gram there, raises
+    NormValidationError naming the first such direction."""
     if F.kind == "riemannian":
         return float(np.linalg.eigvalsh(F.q)[0]), np.eye(F.dim)[0]
     V = _unit_sphere(F.dim, count, seed)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        grams = F.gram_batch_closed(V)
-    if not np.isfinite(grams).all():
-        bad = np.argmin(np.isfinite(grams).all(axis=(1, 2)))
-        raise NormValidationError(
-            "quartic form not positive (non-finite gram at direction %s)"
-            % np.round(V[bad], 4).tolist()
-        )
-    worst = _argmin_eigenvalue(grams)
-    return float(np.linalg.eigvalsh(grams[worst])[0]), V[worst]
+    bounds = _gram_bounds(F, V)
+    if bounds is None:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            grams = F.gram_batch_closed(V)
+        ok = np.isfinite(grams).all(axis=(1, 2))
+        if not ok.all():
+            raise _not_positive(V, ok)
+        worst = _argmin_eigenvalue(grams)
+        return float(np.linalg.eigvalsh(grams[worst])[0]), V[worst]
+    low, high = bounds
+    margin = _SCREEN_MARGIN * max(1.0, float(high.max()))
+    order = np.argsort(low, kind="stable")
+    best, best_idx = np.inf, -1
+    for idx in (order[:_SCREEN_CHUNK], order[_SCREEN_CHUNK:]):
+        # in index order, so that _argmin_eigenvalue's first index is the
+        # lowest direction index among equal values
+        idx = np.sort(idx[low[idx] <= best + margin])
+        if not len(idx):
+            continue
+        grams = F.gram_batch_closed(V[idx])
+        k = _argmin_eigenvalue(grams)
+        m = np.linalg.eigvalsh(grams[k])[0]
+        if m < best or (m == best and idx[k] < best_idx):
+            best, best_idx = m, idx[k]
+    return float(best), V[best_idx]
 
 
 def _block_projectors(blocks):

@@ -270,6 +270,22 @@ def test_commutant_kernel_is_cached_per_space(su4):
         assert np.array_equal(a, b)
 
 
+def test_commutant_system_matches_the_column_loop(su4_weighted, sp3_mixed, g2_short):
+    from flagcurv.homspace import _commutant_system
+
+    for X in (su4_weighted, sp3_mixed, g2_short):
+        nm = X.dim_m
+        ops = [X.m_basis @ X.g.ad(h) @ X.m_basis.T for h in X.h_basis]
+        # the reference: one packed unit symmetric matrix per column
+        iu = np.triu_indices(nm)
+        ref = np.zeros((len(ops) * nm * nm, len(iu[0])))
+        for col, (i, j) in enumerate(zip(*iu)):
+            E = np.zeros((nm, nm))
+            E[i, j] = E[j, i] = 1.0
+            ref[:, col] = np.concatenate([(E @ A - A @ E).ravel() for A in ops])
+        assert _commutant_system(ops, nm).tobytes() == ref.tobytes()
+
+
 def test_exp_isotropy_is_orthogonal(sp3_mixed):
     for R in sp3_mixed.sample_isotropy(6, seed=11):
         assert np.abs(R @ R.T - np.eye(sp3_mixed.dim_m)).max() < 1e-10

@@ -231,6 +231,140 @@ def test_argmin_eigenvalue_ties_and_chunk_order():
         assert _argmin_eigenvalue(stack) == want == _reference_argmin(stack)
 
 
+def _random_quartic(rng, d, psd, epsilon):
+    """A quartic norm whose forms do not commute: a random positive definite
+    q and three random symmetric terms, positive semidefinite or indefinite."""
+    A = rng.standard_normal((d, d))
+    terms = []
+    for _ in range(3):
+        B = rng.standard_normal((d, d))
+        terms.append((0.3 + rng.random(), B @ B.T / d if psd else B + B.T))
+    return MinkowskiNorm("quartic_perturbed", d, A @ A.T / d + 0.5 * np.eye(d), quartic_terms=terms, epsilon=epsilon)
+
+
+@pytest.fixture(scope="module")
+def scan_norms(sp3_mixed, sp2_circle21):
+    """Block-built, non-commuting, indefinite and negative-epsilon quartic
+    norms, by label."""
+    from flagcurv.homspace import SubalgebraSpec, build_space
+    from flagcurv.liealg import build_lie_algebra
+
+    so6 = build_space(build_lie_algebra("so", 6), [SubalgebraSpec.circle(1, 2, 0)])
+    su6 = build_space(
+        build_lie_algebra("su", 6), [SubalgebraSpec.block(1, 2, 3), SubalgebraSpec.circle(1, 1, 1, -1, -1, -1)]
+    )
+    B = np.diag([1.0, -1.0, 1.0, -1.0])
+    rng = np.random.default_rng(21)
+    norms = {
+        "so6": make_norm("quartic_perturbed", {}, so6, seed=0),
+        "sp3": make_norm("quartic_perturbed", {}, sp3_mixed, seed=1),
+        "su6": make_norm("quartic_perturbed", {}, su6, seed=2),
+        "indefinite 4x4": MinkowskiNorm("quartic_perturbed", 4, np.eye(4), quartic_terms=[(1.0, B)], epsilon=2.0),
+        "indefinite 4x4, epsilon < 0": MinkowskiNorm(
+            "quartic_perturbed", 4, np.eye(4), quartic_terms=[(1.0, B)], epsilon=-0.6
+        ),
+        "sp2, epsilon < 0": make_norm("quartic_perturbed", {"epsilon": -0.05}, sp2_circle21, seed=3),
+    }
+    for t in range(3):
+        norms["random psd %d" % t] = _random_quartic(rng, 7, True, 0.2)
+        norms["random indefinite %d" % t] = _random_quartic(rng, 7, False, 0.2)
+    return norms
+
+
+def _full_scan(F, seed=1):
+    """The full-stack reference of _convexity_scan: every gram, one eigvalsh."""
+    from flagcurv.minkowski import CONVEXITY_DIRECTIONS, _unit_sphere
+
+    V = _unit_sphere(F.dim, CONVEXITY_DIRECTIONS, seed)
+    low = np.linalg.eigvalsh(F.gram_batch_closed(V))[:, 0]
+    k = int(np.argmin(low))
+    return low[k], V[k]
+
+
+def test_gram_bounds_hold_at_every_direction(scan_norms, alpha_beta):
+    from flagcurv.minkowski import CONVEXITY_DIRECTIONS, _gram_bounds, _unit_sphere
+
+    assert _gram_bounds(alpha_beta, _unit_sphere(alpha_beta.dim, 8, 0)) is None
+    for label, F in scan_norms.items():
+        V = _unit_sphere(F.dim, CONVEXITY_DIRECTIONS, 1)
+        bounds = _gram_bounds(F, V)
+        if bounds is None:
+            # no bound without c_k >= 0
+            assert F.epsilon < 0, label
+            continue
+        low, high = bounds
+        ev = np.linalg.eigvalsh(F.gram_batch_closed(V))
+        tol = 1e-12 * np.maximum(1.0, np.abs(ev[:, 0]))
+        assert (low <= ev[:, 0] + tol).all(), label
+        assert (np.abs(ev).max(axis=1) <= high + 1e-12 * high).all(), label
+        if not label.startswith("random"):
+            # commuting forms: the bound's off-diagonal terms are rounding
+            assert F._diagonal_split[1].max() < 1e-12, label
+
+
+def test_screened_scan_matches_full_stack(scan_norms, alpha_beta):
+    from flagcurv.minkowski import _convexity_scan
+
+    for label, F in list(scan_norms.items()) + [("alpha_beta", alpha_beta)]:
+        for seed in (1, 5):
+            value, direction = _convexity_scan(F, seed=seed)
+            ref_value, ref_direction = _full_scan(F, seed)
+            assert np.array_equal(direction, ref_direction), label
+            if F.kind == "alpha_beta" or F.epsilon < 0:
+                # no bound: the one-batch path of the full scan
+                assert value == ref_value, label
+            else:
+                assert abs(value - ref_value) <= 1e-14 * abs(ref_value), label
+
+
+def test_screened_scan_forms_few_grams_on_catalog_norms(monkeypatch):
+    from flagcurv.flatfinder import construct_example_flat
+    from flagcurv.minkowski import _SCREEN_CHUNK, _convexity_scan
+
+    formed = []
+    closed = MinkowskiNorm.gram_batch_closed
+
+    def counted(self, V):
+        formed.append(len(V))
+        return closed(self, V)
+
+    monkeypatch.setattr(MinkowskiNorm, "gram_batch_closed", counted)
+    for k in range(1, 6):
+        for flag in construct_example_flat(k).flags:
+            formed.clear()
+            direction = _convexity_scan(flag.norm)[1]
+            assert 0 < sum(formed) <= 2 * _SCREEN_CHUNK, (k, formed)
+            assert np.array_equal(direction, _full_scan(flag.norm)[1])
+
+
+def test_not_positive_quartic_names_the_full_scans_direction(sp2_circle21, monkeypatch):
+    from flagcurv import minkowski
+    from flagcurv.minkowski import CONVEXITY_DIRECTIONS, _convexity_scan, _unit_sphere
+
+    def first_non_finite(F, seed):
+        V = _unit_sphere(F.dim, CONVEXITY_DIRECTIONS, seed)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ok = np.isfinite(F.gram_batch_closed(V)).all(axis=(1, 2))
+        assert not ok.all()
+        return str(np.round(V[np.argmin(ok)], 4).tolist())
+
+    scanned = []
+
+    def recorded(F, **kwargs):
+        scanned.append((F, kwargs["seed"]))
+        return _convexity_scan(F, **kwargs)
+
+    monkeypatch.setattr(minkowski, "_convexity_scan", recorded)
+    with pytest.raises(NormValidationError, match="quartic form not positive") as err:
+        make_norm("quartic_perturbed", {"epsilon": -3.0}, sp2_circle21, seed=3)
+    assert first_non_finite(*scanned[-1]) in str(err.value)
+    # F^4 = 0 everywhere, caught by the bound's check before any gram
+    Z = MinkowskiNorm("quartic_perturbed", 3, np.zeros((3, 3)), quartic_terms=[], epsilon=0.1)
+    with pytest.raises(NormValidationError, match="quartic form not positive") as err:
+        _convexity_scan(Z, seed=2)
+    assert first_non_finite(Z, 2) in str(err.value)
+
+
 def test_norm_transform_is_pullback(sp2_circle21, quartic):
     R = sp2_circle21.sample_isotropy(1, seed=3)[0]
     Ft = quartic.transform(R)
