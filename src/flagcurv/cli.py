@@ -263,6 +263,8 @@ def validate_spec(doc):
     out["metric"] = metric
 
     t = out["task"]
+    if "samples" in task and name != "check-space":
+        raise SpecError("/task/samples", "only the check-space task reads samples")
     if name == "speeds":
         t["weights"] = _check_int_list(task.get("weights"), "/task/weights")
     if name == "curvature":

@@ -199,6 +199,15 @@ class HomogeneousSpace:
         """Ad(elt) acting on algebra coordinates, for a realized group matrix."""
         return _ad_matrix(self.g, elt)
 
+    def isotropy_ad(self):
+        """ad(h)|_m in m-coordinates for every row h of h_basis, as one
+        (dim_h, dim_m, dim_m) stack built once per space."""
+        if "isotropy_ad" not in self._cache:
+            M = self.m_basis
+            ops = [M @ self.g.ad(h) @ M.T for h in self.h_basis]
+            self._cache["isotropy_ad"] = np.array(ops).reshape(self.dim_h, self.dim_m, self.dim_m)
+        return self._cache["isotropy_ad"]
+
     def sample_isotropy(self, count, seed=0):
         """Orthogonal matrices Ad(h)|_m for h sampled from H.
 
@@ -724,7 +733,7 @@ def invariant_blocks(X, seed=0):
     nm = X.dim_m
     if X.dim_h == 0:
         return [np.eye(nm)]
-    ops = [X.m_basis @ X.g.ad(h) @ X.m_basis.T for h in X.h_basis]
+    ops = X.isotropy_ad()
     if "commutant" not in X._cache:
         X._cache["commutant"] = null_rows(_commutant_system(ops, nm), 1e-10)
     null = X._cache["commutant"]

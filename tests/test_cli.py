@@ -64,6 +64,29 @@ def test_non_list_isotropy_is_rejected_with_a_pointer(tmp_path, capsys):
     assert err.startswith("input error at /isotropy:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("samples", [0, 7])
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"name": "curvature", "u": {"root": [2, 0]}, "v": {"root": [0, 2]}},
+        {"name": "find-flat"},
+        {"name": "speeds", "weights": [2, 1]},
+        {"name": "verify-example"},
+    ],
+    ids=lambda t: t["name"],
+)
+def test_samples_outside_check_space_is_rejected_with_a_pointer(tmp_path, capsys, task, samples):
+    # only check-space reads /task/samples; elsewhere it would be ignored
+    doc = {"group": {"family": "sp", "n": 2}, "isotropy": [{"type": "circle", "weights": [2, 1]}],
+           "task": dict(task, samples=samples)}
+    with pytest.raises(SpecError) as err:
+        validate_spec(doc)
+    assert err.value.pointer == "/task/samples"
+    assert main([task["name"], _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error at /task/samples:") and "Traceback" not in err
+
+
 def test_empty_isotropy_parses():
     doc = {"group": {"family": "su", "n": 2}, "isotropy": [], "task": {"name": "check-space"}}
     spec = validate_spec(doc)

@@ -152,9 +152,12 @@ def test_fundamental_tensor_detects_indefiniteness():
 
 
 def test_quartic_epsilon_autohalving(sp2_circle21):
+    # the default strength is certified as it is: nothing is halved
     F = make_norm("quartic_perturbed", {}, sp2_circle21, seed=3)
-    assert F.epsilon <= 0.1
-    assert F.meta["convexity_min_eigenvalue"] > 0
+    assert F.epsilon == 0.1
+    assert "epsilon_halvings" not in F.meta
+    assert F.meta["convexity_lower_bound"] > 0
+    assert "convexity_min_eigenvalue" not in F.meta
 
 
 def test_convexity_scan_catches_indefinite_quartic():
@@ -177,58 +180,6 @@ def test_make_norm_rejects_a_quartic_form_that_is_not_positive(sp2_circle21):
     with pytest.raises(NormValidationError, match="quartic form not positive"):
         make_norm("quartic_perturbed", {"epsilon": -3.0}, sp2_circle21, seed=3)
     assert make_norm("quartic_perturbed", {"epsilon": -0.01}, sp2_circle21, seed=3).epsilon == -0.01
-
-
-def _reference_argmin(grams):
-    return int(np.argmin(np.linalg.eigvalsh(grams)[:, 0]))
-
-
-def test_argmin_eigenvalue_matches_full_eigensolve_on_norm_grams(sp3_mixed, alpha_beta):
-    from flagcurv.homspace import SubalgebraSpec, build_space
-    from flagcurv.liealg import build_lie_algebra
-    from flagcurv.minkowski import CONVEXITY_DIRECTIONS, _SCREEN_CHUNK, _argmin_eigenvalue, _unit_sphere
-
-    so6 = build_space(build_lie_algebra("so", 6), [SubalgebraSpec.circle(1, 2, 0)])
-    B = np.diag([1.0, -1.0, 1.0, -1.0])
-    norms = [
-        make_norm("quartic_perturbed", {}, so6, seed=0),
-        make_norm("quartic_perturbed", {}, sp3_mixed, seed=0),
-        alpha_beta,
-        MinkowskiNorm("quartic_perturbed", 4, np.eye(4), quartic_terms=[(1.0, B)], epsilon=2.0),
-    ]
-    for F in norms:
-        for seed in (0, 1):
-            grams = F.gram_batch_closed(_unit_sphere(F.dim, CONVEXITY_DIRECTIONS, seed))
-            # full stack, shorter than one chunk, not a multiple of the chunk
-            for stack in (grams, grams[:50], grams[: 2 * _SCREEN_CHUNK + 37]):
-                k = _argmin_eigenvalue(stack)
-                assert k == _reference_argmin(stack)
-                assert np.linalg.eigvalsh(stack[k])[0] == np.linalg.eigvalsh(stack)[k, 0]
-
-
-def test_argmin_eigenvalue_ties_and_chunk_order():
-    from flagcurv.minkowski import _SCREEN_CHUNK, _argmin_eigenvalue
-
-    n = _SCREEN_CHUNK + 44
-    rng = np.random.default_rng(4)
-    filler = np.stack([np.diag([1.0 + 0.2 * r, 3.0, 3.0]) for r in rng.random(n)])
-    rotated = np.array([[1.25, 0.75, 0.0], [0.75, 1.25, 0.0], [0.0, 0.0, 2.0]])
-    low = np.diag([0.5, 2.0, 2.0])
-    assert np.linalg.eigvalsh(rotated)[0] == np.linalg.eigvalsh(low)[0]
-
-    # one matrix at two indices, in different chunks: every diagonal ties,
-    # so the chunks follow the index order
-    dup = np.stack([np.diag([1.25, 3.0, 3.0])] * n)
-    dup[3] = dup[n - 5] = rotated
-    # an exact tie whose higher index has the smaller diagonal, so the
-    # higher index is visited first
-    tie = filler.copy()
-    tie[10], tie[n - 10] = rotated, low
-    # the minimum has the largest diagonal and sits in the last chunk visited
-    last = filler.copy()
-    last[7] = 5.0 * np.ones((3, 3)) + 0.01 * np.eye(3)
-    for stack, want in ((dup, 3), (tie, 10), (last, 7), (last[:40], 7)):
-        assert _argmin_eigenvalue(stack) == want == _reference_argmin(stack)
 
 
 def _random_quartic(rng, d, psd, epsilon):
@@ -281,45 +232,60 @@ def _full_scan(F, seed=1):
     return low[k], V[k]
 
 
-def test_gram_bounds_hold_at_every_direction(scan_norms, alpha_beta):
-    from flagcurv.minkowski import CONVEXITY_DIRECTIONS, _gram_bounds, _unit_sphere
+@pytest.fixture(scope="module")
+def fuzz_profiles(su4_onecircle):
+    """Randomized alpha_beta profiles, each with three random poles."""
+    rng = np.random.default_rng(99)
+    out = []
+    for trial in range(6):
+        phi = [1.0, 0.0, 0.2 + 0.3 * rng.random(), 0.0, 0.1 * rng.random(), 0.0, 0.02 * rng.random()]
+        params = {"phi": phi, "v0_scale": 0.4 + 0.4 * rng.random()}
+        F = make_norm("alpha_beta", params, su4_onecircle, seed=100 + trial)
+        out.append((F, [rng.standard_normal(F.dim) for _ in range(3)]))
+    return out
 
-    assert _gram_bounds(alpha_beta, _unit_sphere(alpha_beta.dim, 8, 0)) is None
-    for label, F in scan_norms.items():
-        V = _unit_sphere(F.dim, CONVEXITY_DIRECTIONS, 1)
-        bounds = _gram_bounds(F, V)
-        if bounds is None:
-            # no bound without c_k >= 0
-            assert F.epsilon < 0, label
+
+def _has_bound(label):
+    return "indefinite" not in label and "epsilon < 0" not in label
+
+
+def test_gram_bounds_hold_at_every_direction(scan_norms, fuzz_profiles):
+    from flagcurv.minkowski import CONVEXITY_DIRECTIONS, _convexity_scan, _unit_sphere
+
+    # forms positive semidefinite up to mu = -0.9e-12 |M|: at e_1 the gram's
+    # smallest eigenvalue is (1 - 9e-11) / sqrt(101), which the bound meets
+    # only with its |min(mu_k, 0)| term
+    near = MinkowskiNorm("quartic_perturbed", 2, np.eye(2), quartic_terms=[(1.0, np.diag([10.0, -9e-12]))], epsilon=1.0)
+    norms = dict(scan_norms, near_psd=near)
+    norms.update(("alpha_beta %d" % t, F) for t, (F, _) in enumerate(fuzz_profiles))
+    for label, F in norms.items():
+        value, direction = _convexity_scan(F)
+        if not _has_bound(label):
+            # no bound for c_k < 0 or an indefinite form: a sampled direction
+            assert direction is not None, label
             continue
-        low, high = bounds
-        ev = np.linalg.eigvalsh(F.gram_batch_closed(V))
-        tol = 1e-12 * np.maximum(1.0, np.abs(ev[:, 0]))
-        assert (low <= ev[:, 0] + tol).all(), label
-        assert (np.abs(ev).max(axis=1) <= high + 1e-12 * high).all(), label
-        if not label.startswith("random"):
-            # commuting forms: the bound's off-diagonal terms are rounding
-            assert F._diagonal_split[1].max() < 1e-12, label
+        assert direction is None and value > 0, label
+        V = np.vstack([_unit_sphere(F.dim, CONVEXITY_DIRECTIONS, 1), np.eye(F.dim)])
+        low = np.linalg.eigvalsh(F.gram_batch_closed(V))[:, 0]
+        assert (value <= low + 1e-13 * np.maximum(1.0, np.abs(low))).all(), label
 
 
-def test_screened_scan_matches_full_stack(scan_norms, alpha_beta):
+def test_fallback_scan_is_the_full_scan(scan_norms):
     from flagcurv.minkowski import _convexity_scan
 
-    for label, F in list(scan_norms.items()) + [("alpha_beta", alpha_beta)]:
+    for label, F in scan_norms.items():
+        if _has_bound(label):
+            continue
         for seed in (1, 5):
             value, direction = _convexity_scan(F, seed=seed)
             ref_value, ref_direction = _full_scan(F, seed)
+            assert value == ref_value, label
             assert np.array_equal(direction, ref_direction), label
-            if F.kind == "alpha_beta" or F.epsilon < 0:
-                # no bound: the one-batch path of the full scan
-                assert value == ref_value, label
-            else:
-                assert abs(value - ref_value) <= 1e-14 * abs(ref_value), label
 
 
-def test_screened_scan_forms_few_grams_on_catalog_norms(monkeypatch):
+def test_convexity_scan_forms_no_grams_on_catalog_norms(monkeypatch):
     from flagcurv.flatfinder import construct_example_flat
-    from flagcurv.minkowski import _SCREEN_CHUNK, _convexity_scan
+    from flagcurv.minkowski import _convexity_scan
 
     formed = []
     closed = MinkowskiNorm.gram_batch_closed
@@ -332,9 +298,44 @@ def test_screened_scan_forms_few_grams_on_catalog_norms(monkeypatch):
     for k in range(1, 6):
         for flag in construct_example_flat(k).flags:
             formed.clear()
-            direction = _convexity_scan(flag.norm)[1]
-            assert 0 < sum(formed) <= 2 * _SCREEN_CHUNK, (k, formed)
-            assert np.array_equal(direction, _full_scan(flag.norm)[1])
+            value, direction = _convexity_scan(flag.norm)
+            assert formed == [] and direction is None, k
+            assert 0 < value <= _full_scan(flag.norm)[0], k
+
+
+def test_extrema_are_exact_off_any_grid():
+    from flagcurv.minkowski import _extrema
+
+    P = np.polynomial.Polynomial
+    a = 0.123456789
+    # a minimum between any sample points, and one at a triple root of the
+    # derivative, which rounding splits into a complex triple
+    for p in (P([-a, 1.0]) ** 2, P([-a, 1.0]) ** 4):
+        low, high = _extrema(p, 1.0)
+        assert abs(low) < 1e-15
+        assert high == p(-1.0)
+    # constant, trailing zero coefficients, an interval of one point
+    assert _extrema(P([2.0]), 0.5) == (2.0, 2.0)
+    assert _extrema(P([1.0, 0.0, 0.0]), 0.5) == (1.0, 1.0)
+    assert _extrema(P([1.0, 0.0, -3.0]), 0.0) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("k,convex", [(1.38, True), (1.40, False)])
+def test_alpha_beta_convexity_edge(su4_onecircle, k, convex):
+    # phi = 1 - k s^2 with b = 0.6: phi - s phi' + (b^2 - s^2) phi'' is
+    # 1 + 3 k s^2 - 2 k b^2, positive on |s| <= b iff k < 1 / (2 b^2) = 1.3889
+    params = {"phi": [1.0, 0.0, -k], "v0_scale": 0.6}
+    ref = make_norm("alpha_beta", dict(params, phi=[1.0]), su4_onecircle, seed=2)
+    F = MinkowskiNorm("alpha_beta", ref.dim, ref.q, v0=ref.v0, phi=np.array(params["phi"]))
+    if convex:
+        built = make_norm("alpha_beta", params, su4_onecircle, seed=2)
+        assert np.array_equal(built.v0, ref.v0)
+        assert 0 < built.meta["convexity_lower_bound"] <= _full_scan(F)[0]
+    else:
+        with pytest.raises(NormValidationError, match=r"convexity check fails \(phi\^3"):
+            make_norm("alpha_beta", params, su4_onecircle, seed=2)
+        # the full scan agrees
+        assert _full_scan(F)[0] <= 0
 
 
 def test_not_positive_quartic_names_the_full_scans_direction(sp2_circle21, monkeypatch):
@@ -358,7 +359,8 @@ def test_not_positive_quartic_names_the_full_scans_direction(sp2_circle21, monke
     with pytest.raises(NormValidationError, match="quartic form not positive") as err:
         make_norm("quartic_perturbed", {"epsilon": -3.0}, sp2_circle21, seed=3)
     assert first_non_finite(*scanned[-1]) in str(err.value)
-    # F^4 = 0 everywhere, caught by the bound's check before any gram
+    # F^4 = 0 everywhere: q is not positive definite, so no bound applies
+    # and the scan's grams are not finite
     Z = MinkowskiNorm("quartic_perturbed", 3, np.zeros((3, 3)), quartic_terms=[], epsilon=0.1)
     with pytest.raises(NormValidationError, match="quartic form not positive") as err:
         _convexity_scan(Z, seed=2)
@@ -373,21 +375,11 @@ def test_norm_transform_is_pullback(sp2_circle21, quartic):
     assert np.abs(Ft.value_many(V) - quartic.value_many(V @ R.T)).max() < 1e-12
 
 
-def test_alpha_beta_closed_hessian_fuzz(su4_onecircle):
+def test_alpha_beta_closed_hessian_fuzz(fuzz_profiles):
     # randomized profiles and poles, closed form against finite differences
-    X = su4_onecircle
-    rng = np.random.default_rng(99)
-    for trial in range(6):
-        phi = [1.0, 0.0, 0.2 + 0.3 * rng.random(), 0.0, 0.1 * rng.random(), 0.0, 0.02 * rng.random()]
-        F = make_norm(
-            "alpha_beta",
-            {"phi": phi, "v0_scale": 0.4 + 0.4 * rng.random()},
-            X,
-            seed=100 + trial,
-        )
-        for _ in range(3):
-            u = rng.standard_normal(F.dim)
-            u /= np.linalg.norm(u)
+    for F, poles in fuzz_profiles:
+        for u in poles:
+            u = u / np.linalg.norm(u)
             diff = np.abs(F.gram(u, method="closed") - F.gram(u, method="fd")).max()
             assert diff < 1e-7, diff
 
