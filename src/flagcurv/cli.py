@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +38,22 @@ from .liealg import build_lie_algebra
 from .minkowski import NormValidationError, check_norm_properties, make_norm
 
 TASKS = ("check-space", "curvature", "find-flat", "verify-example", "speeds")
+
+# the /task keys each task reads besides its name
+_TASK_KEYS = {
+    "check-space": ("samples", "involution"),
+    "curvature": ("u", "v", "tolerances"),
+    "find-flat": ("budget", "seed", "tolerances"),
+    "verify-example": ("example_id", "params", "epsilons", "seed", "u_angle", "v_angle", "tolerances"),
+    "speeds": ("weights",),
+}
+
+# the /metric keys make_norm reads for each norm kind besides kind and seed
+_METRIC_KEYS = {
+    "riemannian": ("block_scales", "q"),
+    "alpha_beta": ("block_scales", "q", "phi", "v0", "v0_scale"),
+    "quartic_perturbed": ("block_scales", "q", "weights", "epsilon"),
+}
 
 
 class SpecError(ValueError):
@@ -163,29 +180,12 @@ def validate_spec(doc):
     """Validate a raw space-spec document and fill defaults."""
     _require_keys(doc, "", ("task",), ("group", "isotropy", "metric"))
     task = doc["task"]
-    _require_keys(
-        task,
-        "/task",
-        ("name",),
-        (
-            "weights",
-            "u",
-            "v",
-            "budget",
-            "seed",
-            "samples",
-            "example_id",
-            "params",
-            "epsilons",
-            "u_angle",
-            "v_angle",
-            "tolerances",
-            "involution",
-        ),
-    )
-    name = task["name"]
-    if name not in TASKS:
+    if not isinstance(task, dict):
+        raise SpecError("/task", "expected an object")
+    name = task.get("name")
+    if "name" in task and name not in TASKS:
         raise SpecError("/task/name", "unknown task %r" % name)
+    _require_keys(task, "/task", ("name",), _TASK_KEYS.get(name, ()))
 
     out = {"task": {"name": name}}
 
@@ -239,15 +239,12 @@ def validate_spec(doc):
     out["isotropy"] = pieces
 
     met = doc.get("metric", {})
-    _require_keys(
-        met,
-        "/metric",
-        (),
-        ("kind", "seed", "epsilon", "block_scales", "weights", "phi", "v0", "v0_scale", "q"),
-    )
+    if not isinstance(met, dict):
+        raise SpecError("/metric", "expected an object")
     kind = met.get("kind", "quartic_perturbed")
     if kind not in ("riemannian", "alpha_beta", "quartic_perturbed"):
         raise SpecError("/metric/kind", "unknown metric kind %r" % kind)
+    _require_keys(met, "/metric", (), ("kind", "seed") + _METRIC_KEYS[kind])
     metric = {"kind": kind, "seed": _check_int(met.get("seed", 0), "/metric/seed", lo=0)}
     if "epsilon" in met:
         metric["epsilon"] = _check_num(met["epsilon"], "/metric/epsilon", positive=True)
@@ -263,8 +260,6 @@ def validate_spec(doc):
     out["metric"] = metric
 
     t = out["task"]
-    if "samples" in task and name != "check-space":
-        raise SpecError("/task/samples", "only the check-space task reads samples")
     if name == "speeds":
         t["weights"] = _check_int_list(task.get("weights"), "/task/weights")
     if name == "curvature":
@@ -527,7 +522,10 @@ def _run_verify_example(spec, report):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _make_parser():
+    """The argument parser, built once per process: parse_args leaves it
+    as it was, so every main call starts from the same defaults."""
     parser = argparse.ArgumentParser(
         prog="flagcurv",
         description="flag-curvature certificates for invariant metrics on homogeneous spaces",

@@ -17,6 +17,10 @@ axis of a named root plane, pulling the norm back along the same rotation.
 The pole is thus sqrt(bi_norm_sq) times that axis, whichever point of the
 maximizing orbit the ascent reached.
 
+Each construction's G/H is built once per process for its (p, q) and
+shared, read-only and with the caches it carries, by later calls
+(_catalog_space); the norms, poles and flags are built on every call.
+
 The generic search scores a pole by the smallest flatness residual over
 its commutant in m and descends on that score with its exact gradient,
 read off the commutant SVD that scoring already does (_flatness_score)
@@ -29,13 +33,14 @@ as scored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
 
 from .liealg import build_lie_algebra, _orthonormal_rows
-from .homspace import SubalgebraSpec, ad_rotation_speeds, build_space
+from .homspace import SubalgebraSpec, ad_rotation_speeds, build_space, invariant_blocks
 from .minkowski import NormValidationError, make_norm, fundamental_tensor
 from .curvature import _bracket_rows, flag_curvature
 
@@ -142,9 +147,12 @@ def extremal_unit_vector(F, subspace, seed=0):
     EXTREMAL_STARTS seeded starts ascend together on the F-unit sphere, for
     up to 80 steps; per step one gram batch gives the tangents and one
     value_many batch scores 40 halved steps of every live start, which takes
-    its first Armijo candidate.  Newton on the KKT system polishes each
-    start; the largest value wins, ties going to the smaller stationarity
-    residual max |g_u(u, w)| / g_u(u,u) over unit w orthogonal to u in the
+    its first Armijo candidate.  A start stops at the step where its tangent
+    vanishes or where none of its candidates passes, the last at the
+    rounding floor 2^-40; it keeps its iterate, and that step is its
+    iteration count.  Newton on the KKT system polishes each start; the
+    largest value wins, ties going to the smaller stationarity residual
+    max |g_u(u, w)| / g_u(u,u) over unit w orthogonal to u in the
     subspace.  The seed decides which point of the maximizing orbit comes
     back; _extremal_pole moves it to a canonical one."""
     S = _orthonormal_rows(subspace)
@@ -172,8 +180,13 @@ def extremal_unit_vector(F, subspace, seed=0):
         cand /= F.value_many(cand.reshape(-1, k) @ S).reshape(len(live), -1, 1)
         base = np.einsum("ni,ni->n", c, c)[:, None]
         ok = np.einsum("nji,nji->nj", cand, cand) > base + 0.25 * etas * (tn * tn)[:, None]
-        pick = np.where(ok.any(axis=1), ok.argmax(axis=1), len(etas) - 1)
-        C[live] = cand[np.arange(len(live)), pick]
+        # a start with no Armijo candidate down to 2^-40 sits at the
+        # rounding floor: it keeps its iterate and retires
+        found = np.flatnonzero(ok.any(axis=1))
+        C[live[found]] = cand[found, ok[found].argmax(axis=1)]
+        live = live[found]
+        if not len(live):
+            break
 
     def stationarity(c):
         u = c @ S
@@ -335,7 +348,8 @@ def construct_example_flat(example_id, params=None, epsilons=DEFAULT_EPSILONS, s
 
     Every returned flag certifies verdict zero_flag through the curvature
     module for each norm in the family; constructions 1, 2, 5 also carry
-    the auxiliary subspace m' with their bracket-closure claims.
+    the auxiliary subspace m' with their bracket-closure claims.  The space
+    is shared with every call for the same construction and (p, q).
     """
     params = _validate_example_params(example_id, params or {})
     builder = {
@@ -346,6 +360,82 @@ def construct_example_flat(example_id, params=None, epsilons=DEFAULT_EPSILONS, s
         5: _example5,
     }[example_id]
     return builder(params, tuple(epsilons), seed, float(u_angle), float(v_angle))
+
+
+@lru_cache(maxsize=32)
+def _catalog_space(example_id, p=0, q=0):
+    """The G/H of a construction, built once per (example_id, p, q) and
+    shared by every call.  Its space-level caches (bracket tensors,
+    isotropy operators, commutant, root datum) are filled before it is
+    shared, and then every array of the space and of its algebra is made
+    read-only, so no caller can change what a later call is given.  Norms,
+    poles and all else drawn from a seed or an angle stay per call."""
+    X = _build_catalog_space(example_id, p, q)
+    X.m_bracket_tensor()
+    invariant_blocks(X)
+    X.g.root_datum()
+    _make_read_only(X)
+    return X
+
+
+def _build_catalog_space(example_id, p, q):
+    if example_id == 1:
+        return build_space(
+            build_lie_algebra("su", 4),
+            [SubalgebraSpec.block(1, 2), SubalgebraSpec.circle(p + q, p + q, -2 * p, -2 * q)],
+            name="su(4)/su(2)xS1(%d,%d,%d,%d)" % (p + q, p + q, -2 * p, -2 * q),
+        )
+    if example_id == 2:
+        return build_space(
+            build_lie_algebra("su", 4),
+            [SubalgebraSpec.block(1, 2), SubalgebraSpec.circle(1, 1, -1, -1)],
+            name="su(4)/su(2)xS1(1,1,-1,-1)",
+        )
+    if example_id == 3:
+        return build_space(
+            build_lie_algebra("sp", 2), [SubalgebraSpec.circle(p, q)], name="sp(2)/S1(%d,%d)" % (p, q)
+        )
+    if example_id == 4:
+        return build_space(
+            build_lie_algebra("sp", 3),
+            [SubalgebraSpec.sp1_block(3), SubalgebraSpec.circle(1, 3, 0)],
+            name="sp(3)/sp(1)xS1(1,3,0)",
+        )
+    g = build_lie_algebra("g2")
+    x1, y1, t1 = _short_root_su2(g)
+    return build_space(
+        g,
+        [SubalgebraSpec.explicit([g.to_matrix(x1), g.to_matrix(y1), g.to_matrix(t1)])],
+        name="g2/su(2)-short",
+    )
+
+
+def _make_read_only(root):
+    """Clear the writeable flag of every array reachable from root through
+    dataclass fields, dicts, lists and tuples."""
+    stack, seen = [root], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            obj.flags.writeable = False
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif is_dataclass(obj):
+            stack.extend(vars(obj).values())
+
+
+def _short_root_su2(g):
+    """The su(2) of g2 on the short generator root (1, 0): its plane x1, y1
+    and the unit torus element t1 along [x1, y1]."""
+    pl1 = g.root_datum().plane_for_root((1, 0))
+    x1, y1 = pl1[:, 0], pl1[:, 1]
+    t1 = g.bracket(x1, y1)
+    return x1, y1, t1 / np.linalg.norm(t1)
 
 
 def _quartic_norms(X, epsilons, seed):
@@ -366,12 +456,7 @@ def _angle_vector(X, root, angle, scale=1.0):
 
 def _example1(params, epsilons, seed, u_angle, v_angle):
     p, q = params["p"], params["q"]
-    g = build_lie_algebra("su", 4)
-    X = build_space(
-        g,
-        [SubalgebraSpec.block(1, 2), SubalgebraSpec.circle(p + q, p + q, -2 * p, -2 * q)],
-        name="su(4)/su(2)xS1(%d,%d,%d,%d)" % (p + q, p + q, -2 * p, -2 * q),
-    )
+    X = _catalog_space(1, p, q)
     u = _angle_vector(X, (1, 0, -1, 0), u_angle)
     v = _angle_vector(X, (0, 1, 0, -1), v_angle)
 
@@ -410,12 +495,7 @@ def _example1(params, epsilons, seed, u_angle, v_angle):
 
 
 def _example2(params, epsilons, seed, u_angle, v_angle):
-    g = build_lie_algebra("su", 4)
-    X = build_space(
-        g,
-        [SubalgebraSpec.block(1, 2), SubalgebraSpec.circle(1, 1, -1, -1)],
-        name="su(4)/su(2)xS1(1,1,-1,-1)",
-    )
+    X = _catalog_space(2)
     tm = _tm_rows(X)
     p34 = _plane_rows(X, (0, 0, 1, -1))
     m0 = _stack_rows(tm, p34)
@@ -462,8 +542,7 @@ def _example2(params, epsilons, seed, u_angle, v_angle):
 
 def _example3(params, epsilons, seed, u_angle, v_angle):
     p, q = params["p"], params["q"]
-    g = build_lie_algebra("sp", 2)
-    X = build_space(g, [SubalgebraSpec.circle(p, q)], name="sp(2)/S1(%d,%d)" % (p, q))
+    X = _catalog_space(3, p, q)
     u = _angle_vector(X, (2, 0), u_angle)
     v = _angle_vector(X, (0, 2), v_angle)
     flags = [FlagInstance(norm=F, u=u, v=v) for F in _quartic_norms(X, epsilons, seed)]
@@ -472,12 +551,8 @@ def _example3(params, epsilons, seed, u_angle, v_angle):
 
 
 def _example4(params, epsilons, seed, u_angle, v_angle):
-    g = build_lie_algebra("sp", 3)
-    X = build_space(
-        g,
-        [SubalgebraSpec.sp1_block(3), SubalgebraSpec.circle(1, 3, 0)],
-        name="sp(3)/sp(1)xS1(1,3,0)",
-    )
+    X = _catalog_space(4)
+    g = X.g
     u = _angle_vector(X, (0, 2, 0), u_angle)
     v = _angle_vector(X, (1, 0, -1), v_angle)
 
@@ -501,17 +576,10 @@ def _example4(params, epsilons, seed, u_angle, v_angle):
 
 
 def _example5(params, epsilons, seed, u_angle, v_angle):
-    g = build_lie_algebra("g2")
+    X = _catalog_space(5)
+    g = X.g
     datum = g.root_datum()
-    pl1 = datum.plane_for_root((1, 0))  # short generator root
-    x1, y1 = pl1[:, 0], pl1[:, 1]
-    t1 = g.bracket(x1, y1)
-    t1 /= np.linalg.norm(t1)
-    X = build_space(
-        g,
-        [SubalgebraSpec.explicit([g.to_matrix(x1), g.to_matrix(y1), g.to_matrix(t1)])],
-        name="g2/su(2)-short",
-    )
+    t1 = _short_root_su2(g)[2]
     tm = _tm_rows(X)
     p_g2 = _plane_rows(X, (0, 1))
     p_g3 = _plane_rows(X, (1, 1))

@@ -8,6 +8,7 @@ torus directions and whole root planes.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -507,7 +508,16 @@ def is_regular_subalgebra(X):
     that normalizer has full rank.  When it does, a Cartan subalgebra of
     the normalizer aligns the root planes of g with those of h and the
     covector matching is listed in the report.  Returns (verdict, report).
+    The pair is computed once per space; each call gets its own copy of the
+    report.
     """
+    if "regular" not in X._cache:
+        X._cache["regular"] = _regularity(X)
+    regular, report = X._cache["regular"]
+    return regular, copy.deepcopy(report)
+
+
+def _regularity(X):
     g = X.g
     report = {}
     if X.dim_h == 0:

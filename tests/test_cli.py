@@ -87,6 +87,105 @@ def test_samples_outside_check_space_is_rejected_with_a_pointer(tmp_path, capsys
     assert err.startswith("input error at /task/samples:") and "Traceback" not in err
 
 
+_TASKS_READ = {
+    "check-space": {"samples": 7, "involution": {"diag": [-1, 1]}},
+    "curvature": {"u": {"root": [2, 0]}, "v": {"root": [0, 2]}, "tolerances": {"zero_curvature": 1.0}},
+    "find-flat": {"budget": 3, "seed": 1, "tolerances": {"zero_curvature": 1.0}},
+    "verify-example": {"example_id": 3, "params": {"p": 2, "q": 1}, "epsilons": [0.1], "seed": 1,
+                       "u_angle": 0.1, "v_angle": 0.2, "tolerances": {"zero_curvature": 1.0}},
+    "speeds": {"weights": [2, 1]},
+}
+
+
+def test_task_keys_the_task_does_not_read_are_rejected_with_a_pointer(tmp_path, capsys):
+    base = {"group": {"family": "sp", "n": 2}, "isotropy": [{"type": "circle", "weights": [2, 1]}]}
+    foreign_values = {k: v for keys in _TASKS_READ.values() for k, v in keys.items()}
+    for name, keys in _TASKS_READ.items():
+        validate_spec(dict(base, task=dict(keys, name=name)))
+        for key, value in foreign_values.items():
+            if key in keys:
+                continue
+            with pytest.raises(SpecError) as err:
+                validate_spec(dict(base, task=dict(keys, name=name, **{key: value})))
+            assert err.value.pointer == "/task/" + key, (name, key)
+    # keys check-space never reads, each of a wrong type as well
+    doc = dict(base, task={"name": "check-space", "budget": 0, "u": 5, "epsilons": "nonsense", "params": 3})
+    assert main(["check-space", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error at /task/budget: unknown key")
+    assert "Traceback" not in err
+
+
+_METRICS_READ = {
+    "riemannian": {"block_scales": [1.0, 1.0, 1.0, 1.0], "q": [[1.0]]},
+    "alpha_beta": {"block_scales": [1.0, 1.0, 1.0, 1.0], "q": [[1.0]], "phi": [1.0, 0.0, 0.3],
+                   "v0": [1.0], "v0_scale": 0.5},
+    "quartic_perturbed": {"block_scales": [1.0, 1.0, 1.0, 1.0], "q": [[1.0]], "weights": [1.0],
+                          "epsilon": 0.2},
+}
+
+
+def test_metric_keys_of_another_kind_are_rejected_with_a_pointer(tmp_path, capsys):
+    base = {"group": {"family": "sp", "n": 2}, "isotropy": [{"type": "circle", "weights": [2, 1]}],
+            "task": {"name": "check-space"}}
+    foreign_values = {k: v for keys in _METRICS_READ.values() for k, v in keys.items()}
+    for kind, keys in _METRICS_READ.items():
+        validate_spec(dict(base, metric=dict(keys, kind=kind, seed=1)))
+        for key, value in foreign_values.items():
+            if key in keys:
+                continue
+            with pytest.raises(SpecError) as err:
+                validate_spec(dict(base, metric=dict(kind=kind, **{key: value})))
+            assert err.value.pointer == "/metric/" + key, (kind, key)
+    # the report would echo an epsilon that the riemannian norm never read
+    doc = dict(base, metric={"kind": "riemannian", "epsilon": 0.3, "phi": [1, 0, 5], "weights": [1]})
+    assert main(["check-space", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error at /metric/epsilon: unknown key")
+    assert "Traceback" not in err
+
+
+def test_consecutive_main_calls_share_one_parser_but_no_options(tmp_path, capsys):
+    from flagcurv.cli import _make_parser
+
+    assert _make_parser() is _make_parser()
+    doc = {
+        "group": {"family": "su", "n": 2},
+        "isotropy": [],
+        "metric": {"kind": "riemannian", "seed": 0},
+        "task": {"name": "find-flat", "budget": 2, "seed": 1},
+    }
+    path = _write(tmp_path, doc)
+    assert main(["find-flat", path, "--budget", "3", "--seed", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert (payload["budget"], payload["seed"]) == (3, 4)
+    assert main(["find-flat", path]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert (payload["budget"], payload["seed"]) == (2, 1)
+
+
+def test_verify_example_reports_do_not_depend_on_the_process_caches(tmp_path, capsys):
+    from flagcurv import flatfinder
+
+    def report(example_id, seed, params):
+        path = _write(tmp_path, {"task": {"name": "verify-example", "seed": seed, "params": params}})
+        code = main(["verify-example", path, "--id", str(example_id)])
+        return code, capsys.readouterr().out
+
+    # ids 1 and 3 also at a second (p, q), which names another space
+    runs = [(k, seed, {}) for seed in range(4) for k in range(1, 6)]
+    runs += [(1, 0, {"p": 3, "q": 2}), (3, 0, {"p": 4, "q": 1})]
+    fresh = []
+    for run in runs:
+        flatfinder._catalog_space.cache_clear()
+        fresh.append(report(*run))
+    assert all(code == 0 for code, _ in fresh)
+    names = [json.loads(out)["space"]["notes"]["name"] for _, out in fresh[-2:]]
+    assert names == ["su(4)/su(2)xS1(5,5,-6,-4)", "sp(2)/S1(4,1)"]
+    for _ in range(2):
+        assert [report(*run) for run in runs] == fresh
+
+
 def test_empty_isotropy_parses():
     doc = {"group": {"family": "su", "n": 2}, "isotropy": [], "task": {"name": "check-space"}}
     spec = validate_spec(doc)

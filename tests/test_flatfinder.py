@@ -156,6 +156,37 @@ def test_extremal_stationarity(ex2):
         assert flag.aux["alignment_residual"] < 1e-10
 
 
+def test_construction2_ascent_stops_at_the_rounding_floor(ex2):
+    # at seed 0 the second and third norms' ascents reach |t| ~ 1e-8 after
+    # 24 and 42 steps; there no Armijo candidate down to 2^-40 passes, so
+    # they stop instead of running to the 80-step cap, and the KKT polish
+    # lands on the same maximum as with the cap
+    capped = (1.00466782631416, 1.0161634950083986)
+    for flag, value in zip(ex2.flags[1:], capped):
+        ext = flag.aux["extremal"]
+        assert ext["iterations"] < 80
+        assert abs(ext["bi_norm_sq"] - value) < 1e-12
+        assert ext["stationarity"] <= 1e-6
+
+
+def test_shared_catalog_space_is_read_only():
+    # the space of construction 1 at (p, q) = (1, 0) is shared by every later
+    # call at that (p, q); no array of it, cached or not, can be written
+    X = construct_example_flat(1).space
+    assert construct_example_flat(1, seed=3).space is X
+    g = X.g
+    datum = g.root_datum()
+    arrays = (X.m_basis, X.h_basis, X.t_h, X.m_bracket_tensor(), X.full_bracket_tensor(),
+              X.isotropy_ad(), X._cache["commutant"], g.basis, g.structure_constants,
+              g.bi_form, datum.cartan, datum.roots, datum.planes)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+    # a space built directly stays the caller's own
+    Y = build_space(build_lie_algebra("su", 4), [S.block(1, 2), S.circle(1, 1, -2, 0)])
+    Y.m_basis[0, 0] = Y.m_basis[0, 0]
+
+
 @pytest.fixture(scope="module")
 def ex2_pole_data(su4_weighted):
     # construction 2's space, one of its norms, m0, m1 and its target axis

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -131,6 +133,22 @@ def test_regularity_of_block_with_straddling_planes(g2_short):
     assert all(m["g_restriction"] is not None for m in report["matching"])
     ok_g2, _ = is_regular_subalgebra(g2_short)
     assert ok_g2
+
+
+def test_regularity_report_is_cached_and_copied(su4):
+    X = build_space(su4, [S.block(1, 2), S.circle(1, 1, -1, -1)])
+    ok, report = is_regular_subalgebra(X)
+    assert "regular" in X._cache and report["matching"]
+    expected = copy.deepcopy(report)
+    # a caller that edits its report, at any depth, must not reach the cache
+    report["matching"][0]["h_root"][0] = 99.0
+    report["matching"].append(None)
+    report["vacuous"] = "edited"
+    ok2, report2 = is_regular_subalgebra(X)
+    assert ok2 == ok and report2 == expected
+    assert report2 is not report and report2["matching"] is not report["matching"]
+    # and the cached pair is the one a fresh space computes
+    assert is_regular_subalgebra(build_space(su4, [S.block(1, 2), S.circle(1, 1, -1, -1)])) == (ok, expected)
 
 
 def test_principal_so3_not_regular():
