@@ -245,6 +245,9 @@ def validate_spec(doc):
     if kind not in ("riemannian", "alpha_beta", "quartic_perturbed"):
         raise SpecError("/metric/kind", "unknown metric kind %r" % kind)
     _require_keys(met, "/metric", (), ("kind", "seed") + _METRIC_KEYS[kind])
+    for key, shadow in (("block_scales", "q"), ("v0_scale", "v0")):
+        if key in met and shadow in met:
+            raise SpecError("/metric/" + key, "not read when %r is given" % shadow)
     metric = {"kind": kind, "seed": _check_int(met.get("seed", 0), "/metric/seed", lo=0)}
     if "epsilon" in met:
         metric["epsilon"] = _check_num(met["epsilon"], "/metric/epsilon", positive=True)
@@ -312,6 +315,10 @@ def validate_spec(doc):
             k: _check_num(v, "/task/tolerances/%s" % k, positive=True)
             for k, v in task["tolerances"].items()
         }
+    if name == "verify-example":
+        for key in ("group", "isotropy", "metric"):
+            if key in doc:
+                raise SpecError("/" + key, "verify-example builds its own space and norms; remove this key")
     return out
 
 

@@ -238,48 +238,36 @@ def extremal_unit_vector(F, subspace, seed=0):
     return u, info
 
 
-def _align_into_plane(X, rot_alg_rows, u, axis, seed=0):
+def _align_into_plane(X, rot_alg_rows, u, axis):
     """Rotation R = Ad(exp x) on m, x in the given centralizing subalgebra,
     moving u onto the line of the unit vector axis.  Returns (R, residual).
 
-    Gauss-Newton on x from the identity and up to seven seeded rotations.
-    As x commutes with h, ad(x) keeps m and R = expm(ad_m(x)), with ad_m
-    the m-block of ad; the Jacobian of P_off R u in x_a is P_off ad_m(k_a) R u."""
+    Gauss-Newton on x from the identity.  As x commutes with h, ad(x) keeps
+    m and R = expm(ad_m(x)), with ad_m the m-block of ad; the Jacobian of
+    P_off R u in x_a is P_off ad_m(k_a) R u."""
     K = _orthonormal_rows(rot_alg_rows)
     P_off = np.eye(X.dim_m) - np.outer(axis, axis)
     ad_m = np.einsum("ai,ijk->akj", K, X.m_bracket_tensor())
-
-    def rot(x):
-        return sla.expm(np.tensordot(x, ad_m, axes=1))
-
-    rng = np.random.default_rng(seed)
-    best = None
-    for trial in range(8):
-        R = np.eye(X.dim_m) if trial == 0 else rot(rng.standard_normal(len(K)))
-        for _ in range(200):
-            Ru = R @ u
-            r = P_off @ Ru
-            if np.linalg.norm(r) < 1e-14:
-                break
-            step, *_ = np.linalg.lstsq(P_off @ (ad_m @ Ru).T, -r, rcond=None)
-            R = rot(step / max(1.0, np.linalg.norm(step))) @ R
-        res = float(np.linalg.norm(P_off @ (R @ u)))
-        if best is None or res < best[1]:
-            best = (R, res)
-        if best[1] < 1e-13:
+    R = np.eye(X.dim_m)
+    for _ in range(200):
+        Ru = R @ u
+        r = P_off @ Ru
+        if np.linalg.norm(r) < 1e-14:
             break
-    return best
+        step, *_ = np.linalg.lstsq(P_off @ (ad_m @ Ru).T, -r, rcond=None)
+        R = sla.expm(np.tensordot(step / max(1.0, np.linalg.norm(step)), ad_m, axes=1)) @ R
+    return R, float(np.linalg.norm(P_off @ (R @ u)))
 
 
 def _extremal_pole(X, F, m0, m1, axis, seed):
     """Pole u of constructions 2 and 5, the norm pulled back for it, and aux.
 
     The F-extremal pole of m1 (seed + 7) is rotated by m0 onto the line of
-    the unit vector axis (seed + 11) and taken on its positive side, so u
+    the unit vector axis and taken on its positive side, so u
     is sqrt(bi_norm_sq) axis whatever orbit point the ascent reached.  The
     norm is reversible, so the sign needs no pullback."""
     u_star, ext = extremal_unit_vector(F, m1, seed=seed + 7)
-    R, align_res = _align_into_plane(X, m0, u_star, axis, seed=seed + 11)
+    R, align_res = _align_into_plane(X, m0, u_star, axis)
     u = R @ u_star
     if u @ axis < 0:
         u = -u

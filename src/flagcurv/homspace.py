@@ -18,14 +18,13 @@ from .liealg import (
     LieAlgebra,
     _block_generators,
     _complex_to_real,
-    _nested_centralizer_torus,
     _orthonormal_rows,
     _quat_to_real,
     _torus_matrix,
     _unit_generators,
+    maximal_torus,
     null_rows,
     subalgebra_from_matrices,
-    subalgebra_rank,
     torus_blocks,
 )
 
@@ -297,18 +296,15 @@ def build_space(g, spec, name=None):
             if res > 1e-8:
                 raise ValueError("not a subalgebra (closure residual %.3e)" % res)
 
-    rank_h = subalgebra_rank(g, h_rows) if h_rows.shape[0] else 0
+    t_on = maximal_torus(g, h_rows)
+    rank_h = t_on.shape[0]
 
-    # maximal torus of h: the lattice generators of the pieces when they
-    # span one, else nested centralizers
-    t_on = _orthonormal_rows(np.stack(torus_rows)) if torus_rows and not has_explicit else None
-    if t_on is not None and t_on.shape[0] == rank_h:
-        t_raw, weights = np.stack(torus_rows), list(torus_weights)
+    # the lattice generators of the pieces, when they span a maximal torus of h
+    t_pieces = _orthonormal_rows(np.stack(torus_rows)) if torus_rows and not has_explicit else None
+    if t_pieces is not None and t_pieces.shape[0] == rank_h:
+        t_on, t_raw, weights = t_pieces, np.stack(torus_rows), list(torus_weights)
     else:
-        t_on = _nested_centralizer_torus(g, h_rows, seed=97) if h_rows.shape[0] else np.zeros((0, g.dim))
         t_raw, weights = t_on.copy(), None
-        if t_on.shape[0] != rank_h:
-            raise RuntimeError("failed to construct a maximal torus of the isotropy")
 
     space = _assemble_space(g, h_rows, rank_h, t_on, t_raw, weights, notes)
     return space
@@ -477,16 +473,14 @@ def fixed_point_space(X, iota):
     spec = SubalgebraSpec(pieces=[SubalgebraSpec.explicit(h_sub)] if h_sub else [])
     sub = build_space(Lc, spec)
 
-    rank_c = subalgebra_rank(g, c_rows)
-    rank_hi = subalgebra_rank(g, hi_rows) if hi_rows.shape[0] else 0
     codim = X.dim_m - sub.dim_m
     sub.notes.update(
         {
             "fixed_point_of": "involution" if np.abs(iota @ iota - np.eye(iota.shape[0])).max() < 1e-9 else "element",
-            "rank_total": rank_c,
-            "rank_total_equals_rank_g": bool(rank_c == X.rank_g),
-            "rank_isotropy": rank_hi,
-            "rank_isotropy_equals_rank_h": bool(rank_hi == X.rank_h),
+            "rank_total": sub.rank_g,
+            "rank_total_equals_rank_g": bool(sub.rank_g == X.rank_g),
+            "rank_isotropy": sub.rank_h,
+            "rank_isotropy_equals_rank_h": bool(sub.rank_h == X.rank_h),
             "codimension": int(codim),
             "codimension_even": bool(codim % 2 == 0),
         }
@@ -505,9 +499,11 @@ def is_regular_subalgebra(X):
     Equivalent formulation used here: h is regular exactly when some
     maximal torus of g normalizes it.  The normalizer of h inside the
     centralizer of t_H is a subalgebra containing t_H; h is regular iff
-    that normalizer has full rank.  When it does, a Cartan subalgebra of
-    the normalizer aligns the root planes of g with those of h and the
-    covector matching is listed in the report.  Returns (verdict, report).
+    that normalizer has full rank.  When it does, a maximal torus of the
+    normalizer aligns the root planes of g with those of h, and the report
+    lists each root of h on t_H (h_root) with the root of g on t_H that
+    restricts to it (g_restriction): that is h_root when some root plane
+    of g is the h-plane, and None when none is.  Returns (verdict, report).
     The pair is computed once per space; each call gets its own copy of the
     report.
     """
@@ -539,9 +535,11 @@ def _regularity(X):
     M = np.stack(cols, axis=1)
     null = null_rows(M, 1e-8)
     n_rows = _orthonormal_rows(null @ z_rows) if null.shape[0] else np.zeros((0, g.dim))
-    rank_norm = subalgebra_rank(g, n_rows) if n_rows.shape[0] else 0
-    regular = rank_norm == g.rank
-    report["normalizer_rank"] = int(rank_norm)
+    # t_H is central in the normalizer, so every maximal torus of it
+    # contains t_H
+    t_g = maximal_torus(g, n_rows)
+    regular = t_g.shape[0] == g.rank
+    report["normalizer_rank"] = int(t_g.shape[0])
     report["rank_required"] = int(g.rank)
 
     h_planes, _ = torus_blocks(g.ad, X.t_h, _orthonormal_rows(X.h_basis))
@@ -553,51 +551,23 @@ def _regularity(X):
         return regular, report
     report["vacuous"] = False
 
-    matching = []
+    g_planes = []
     if regular:
-        t_g = _cartan_within(g, n_rows, X.t_h)
         report["torus_extension_dim"] = int(t_g.shape[0])
         g_planes, _ = torus_blocks(g.ad, t_g, np.eye(g.dim))
         if any(p.shape[0] != 2 for p in g_planes):
             raise RuntimeError("torus refinement left a block that is not a plane")
-        for hp in h_planes:
-            beta = [float(hp[1] @ g.ad(t) @ hp[0]) for t in X.t_h]
-            best = None
-            for gp in g_planes:
-                s = np.linalg.svd(hp @ gp.T, compute_uv=False)
-                if s.min() > 1.0 - 1e-8:
-                    best = [float(gp[1] @ g.ad(t) @ gp[0]) for t in X.t_h]
-                    break
-            matching.append({"h_root": beta, "g_restriction": best})
-        if any(m["g_restriction"] is None for m in matching):
-            regular = False
-    else:
-        for hp in h_planes:
-            beta = [float(hp[1] @ g.ad(t) @ hp[0]) for t in X.t_h]
-            matching.append({"h_root": beta, "g_restriction": None})
+    matching = []
+    for hp in h_planes:
+        beta = [float(hp[1] @ g.ad(t) @ hp[0]) for t in X.t_h]
+        # a root plane of g that is hp: ad(t_H) turns that one plane, so the
+        # root of g restricts to beta
+        matched = any(np.linalg.svd(hp @ gp.T, compute_uv=False).min() > 1.0 - 1e-8 for gp in g_planes)
+        matching.append({"h_root": beta, "g_restriction": list(beta) if matched else None})
+    if regular and any(m["g_restriction"] is None for m in matching):
+        regular = False
     report["matching"] = matching
     return regular, report
-
-
-def _cartan_within(g, span_rows, start_rows, seed=311):
-    """Maximal torus of the subalgebra spanned by span_rows, containing the
-    abelian start_rows."""
-    rng = np.random.default_rng(seed)
-    torus = _orthonormal_rows(start_rows)
-    for _ in range(g.dim):
-        A = np.vstack([g.ad(t) for t in torus]) if torus.shape[0] else np.zeros((1, g.dim))
-        cent = null_rows(A, 1e-9)
-        cand = _intersect_spans(cent, span_rows)
-        cand = _orthonormal_rows(cand - (cand @ torus.T) @ torus, tol=1e-9) if cand.size else cand
-        if cand.shape[0] == 0:
-            break
-        x = rng.standard_normal(cand.shape[0]) @ cand
-        x /= np.linalg.norm(x)
-        B = cand @ g.ad(x) @ cand.T
-        inner = _orthonormal_rows(null_rows(B, 1e-9) @ cand)
-        pick = inner[0] if inner.shape[0] else x
-        torus = _orthonormal_rows(np.vstack([torus, pick]))
-    return torus
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,10 @@ import scipy.linalg as sla
 ALGEBRA_TOL = 1e-10
 SPEED_CLUSTER_TOL = 1e-8
 
+# seed of the generic element maximal_torus draws: fixed, so a torus basis,
+# and the g2 root labels _derive_lattice reads off it, repeat from run to run
+_TORUS_SEED = 2024
+
 # Scale of the invariant form <x,y> = -kappa * trace(xy) in the real
 # realization, chosen per family so the standard root-plane generators
 # (e.g. e_ij - e_ji) come out with unit norm.
@@ -269,7 +273,7 @@ class LieAlgebra:
             if self.family in ("su", "sp", "so", "g2"):
                 self._cache["rank"] = _family_rank(self.family, self.n)
             else:
-                self._cache["rank"] = subalgebra_rank(self, np.eye(self.dim))
+                self._cache["rank"] = maximal_torus(self, np.eye(self.dim)).shape[0]
         return self._cache["rank"]
 
     def canonical_cartan(self):
@@ -288,7 +292,7 @@ class LieAlgebra:
             lattice = np.stack([self.from_matrix(_torus_matrix(fam, n, w)) for w in units])
             cartan = _orthonormal_rows(lattice[: n - 1] if fam == "su" else lattice)
         elif fam == "g2":
-            cartan = _nested_centralizer_torus(self, np.eye(self.dim), seed=2024)
+            cartan = maximal_torus(self, np.eye(self.dim))
             lattice = None
         else:
             raise UnsupportedAlgebraError("no canonical torus for %r" % fam)
@@ -671,45 +675,21 @@ def _verify_datum(datum, tol=ALGEBRA_TOL):
         raise RuntimeError("root planes are not orthonormal")
 
 
-def subalgebra_rank(L, span_rows, seed=1234, tries=4):
-    """Rank of the subalgebra spanned by the given coordinate rows.
+def maximal_torus(L, span_rows):
+    """Maximal torus of the subalgebra spanned by span_rows, as orthonormal
+    rows.
 
-    Computed as the kernel dimension of ad(x) restricted to the span for a
-    generic element x (two independent draws must agree).
+    The torus is the kernel of ad(x) on the span for one generic element x
+    of it: a generic element of a compact Lie algebra is regular, and its
+    centralizer is the maximal torus through it.  The rank is the row count.
     """
     rows = _orthonormal_rows(span_rows)
-    if rows.shape[0] == 0:
-        return 0
-    rng = np.random.default_rng(seed)
-    dims = []
-    for _ in range(tries):
-        x = rng.standard_normal(rows.shape[0]) @ rows
-        A = rows @ L.ad(x) @ rows.T
-        s = np.linalg.svd(A, compute_uv=False)
-        dims.append(int((s < 1e-9 * max(1.0, s[0])).sum()))
-    return min(dims)
-
-
-def _nested_centralizer_torus(L, span_rows, seed=2024):
-    """Maximal abelian subalgebra of a (sub)algebra by nested centralizers."""
-    rows = _orthonormal_rows(span_rows)
-    rng = np.random.default_rng(seed)
-    torus = np.zeros((0, L.dim))
-    current = rows
-    while current.shape[0] > 0:
-        x = rng.standard_normal(current.shape[0]) @ current
+    torus = rows
+    if len(rows):
+        x = np.random.default_rng(_TORUS_SEED).standard_normal(len(rows)) @ rows
         x /= np.linalg.norm(x)
-        torus = _orthonormal_rows(np.vstack([torus, x[None, :]]) if torus.size else x[None, :])
-        A = current @ L.ad(x) @ current.T
-        cent = _orthonormal_rows(null_rows(A, 1e-9) @ current)
-        # directions in the centralizer, orthogonal to the torus so far
-        proj = cent - (cent @ torus.T) @ torus
-        current = _orthonormal_rows(proj, tol=1e-9)
-        ok = True
-        for i in range(torus.shape[0]):
-            for j in range(torus.shape[0]):
-                if np.linalg.norm(L.bracket(torus[i], torus[j])) > 1e-8:
-                    ok = False
-        if not ok:
-            raise RuntimeError("nested centralizer produced a non-abelian torus")
+        torus = null_rows(rows @ L.ad(x) @ rows.T, 1e-9) @ rows
+    brackets = np.einsum("ajk,bj->abk", np.tensordot(torus, L.structure_constants, axes=1), torus)
+    if np.abs(brackets).max(initial=0.0) > 1e-8:
+        raise RuntimeError("the centralizer of a generic element is not abelian")
     return torus

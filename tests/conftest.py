@@ -50,6 +50,13 @@ def sp3_mixed(sp3):
 
 
 @pytest.fixture(scope="session")
+def so7_block5():
+    # so(5) on the first five coordinates: regular, with root planes that
+    # straddle the canonical ones
+    return build_space(build_lie_algebra("so", 7), [S.block(1, 2, 3, 4, 5)])
+
+
+@pytest.fixture(scope="session")
 def g2_short(g2):
     datum = g2.root_datum()
     plane = datum.plane_for_root((1, 0))

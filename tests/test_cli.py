@@ -101,7 +101,8 @@ def test_task_keys_the_task_does_not_read_are_rejected_with_a_pointer(tmp_path, 
     base = {"group": {"family": "sp", "n": 2}, "isotropy": [{"type": "circle", "weights": [2, 1]}]}
     foreign_values = {k: v for keys in _TASKS_READ.values() for k, v in keys.items()}
     for name, keys in _TASKS_READ.items():
-        validate_spec(dict(base, task=dict(keys, name=name)))
+        # verify-example builds its own space, so its spec carries none
+        validate_spec(dict({} if name == "verify-example" else base, task=dict(keys, name=name)))
         for key, value in foreign_values.items():
             if key in keys:
                 continue
@@ -130,7 +131,9 @@ def test_metric_keys_of_another_kind_are_rejected_with_a_pointer(tmp_path, capsy
             "task": {"name": "check-space"}}
     foreign_values = {k: v for keys in _METRICS_READ.values() for k, v in keys.items()}
     for kind, keys in _METRICS_READ.items():
-        validate_spec(dict(base, metric=dict(keys, kind=kind, seed=1)))
+        # one at a time: q shadows block_scales, and v0 shadows v0_scale
+        for key, value in keys.items():
+            validate_spec(dict(base, metric={"kind": kind, "seed": 1, key: value}))
         for key, value in foreign_values.items():
             if key in keys:
                 continue
@@ -143,6 +146,42 @@ def test_metric_keys_of_another_kind_are_rejected_with_a_pointer(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("input error at /metric/epsilon: unknown key")
     assert "Traceback" not in err
+
+
+def test_metric_keys_shadowed_by_another_key_are_rejected_with_a_pointer(tmp_path, capsys):
+    # sp(2)/S1(2,1) has dim m 9 and five invariant blocks
+    base = {"group": {"family": "sp", "n": 2}, "isotropy": [{"type": "circle", "weights": [2, 1]}],
+            "task": {"name": "check-space"}}
+    cases = (
+        ({"kind": "riemannian", "q": np.eye(9).tolist(), "block_scales": [1.0] * 6}, "/metric/block_scales"),
+        ({"kind": "alpha_beta", "v0": [0.5] + [0.0] * 8, "v0_scale": 0.3}, "/metric/v0_scale"),
+    )
+    for metric, pointer in cases:
+        doc = dict(base, metric=metric)
+        with pytest.raises(SpecError) as err:
+            validate_spec(doc)
+        assert err.value.pointer == pointer
+        assert main(["check-space", _write(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error at %s: not read when" % pointer) and "Traceback" not in err
+
+
+def test_verify_example_rejects_group_isotropy_and_metric_with_a_pointer(tmp_path, capsys):
+    # the construction brings its own space and norms, so these keys would be ignored and echoed
+    extra = {
+        "group": {"family": "so", "n": 6},
+        "isotropy": [{"type": "circle", "weights": [1, 2, 0]}],
+        "metric": {"kind": "riemannian", "seed": 4},
+    }
+    for key, value in extra.items():
+        doc = {key: value, "task": {"name": "verify-example"}}
+        assert main(["verify-example", _write(tmp_path, doc), "--id", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error at /%s: verify-example builds its own" % key)
+        assert "Traceback" not in err
+    doc = {"group": extra["group"], "metric": extra["metric"], "task": {"name": "verify-example"}}
+    assert main(["verify-example", _write(tmp_path, doc), "--id", "3"]) == 2
+    assert capsys.readouterr().err.startswith("input error at /group:")
 
 
 def test_consecutive_main_calls_share_one_parser_but_no_options(tmp_path, capsys):
@@ -240,10 +279,7 @@ def test_curvature_task_with_root_plane_vectors(tmp_path, capsys):
 
 
 def test_verify_example_3(tmp_path, capsys):
-    doc = {
-        "metric": {"kind": "quartic_perturbed", "seed": 0},
-        "task": {"name": "verify-example", "example_id": 3, "params": {"p": 2, "q": 1}},
-    }
+    doc = {"task": {"name": "verify-example", "example_id": 3, "params": {"p": 2, "q": 1}}}
     assert main(["verify-example", _write(tmp_path, doc)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["payload"]["passed"] is True

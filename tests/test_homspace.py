@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from flagcurv.liealg import build_lie_algebra, _quat_to_real
+from flagcurv.liealg import build_lie_algebra, maximal_torus, null_rows, _quat_to_real
 from flagcurv.homspace import (
     SubalgebraSpec,
     ad_rotation_speeds,
@@ -120,6 +120,40 @@ def test_regularity_verdicts(su4_weighted, sp2_circle21):
     assert all(m["g_restriction"] is not None for m in report["matching"])
     ok2, rep2 = is_regular_subalgebra(sp2_circle21)
     assert ok2 and rep2["vacuous"]
+
+
+# the space fixtures and the rank of their isotropy
+_FIXTURE_RANK_H = {"sp2_circle21": 1, "su4_weighted": 2, "su4_onecircle": 2, "sp3_mixed": 2, "g2_short": 1,
+                   "so7_block5": 2}
+
+
+@pytest.mark.parametrize("name", sorted(_FIXTURE_RANK_H))
+def test_maximal_torus_of_the_isotropy_has_rank_h_rows(request, name):
+    X = request.getfixturevalue(name)
+    T = maximal_torus(X.g, X.h_basis)
+    assert T.shape[0] == X.rank_h == _FIXTURE_RANK_H[name]
+    assert np.abs(T - (T @ X.h_basis.T) @ X.h_basis).max() < 1e-10
+
+
+@pytest.mark.parametrize("name", ["so7_block5", "su4_weighted"])
+def test_maximal_torus_of_the_centralizer_of_t_h_contains_t_h(request, name):
+    # t_H is central in its centralizer, so every maximal torus of the
+    # centralizer contains it: the fact the regularity check relies on
+    X = request.getfixturevalue(name)
+    g = X.g
+    z_rows = null_rows(np.vstack([g.ad(t) for t in X.t_h]), 1e-9)
+    T = maximal_torus(g, z_rows)
+    assert z_rows.shape[0] > T.shape[0] == g.rank
+    assert np.abs(X.t_h - (X.t_h @ T.T) @ T).max() < 1e-10
+    assert max(np.abs(g.bracket(a, b)).max() for a in T for b in T) < 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(_FIXTURE_RANK_H))
+def test_g_restriction_is_the_h_root_on_every_regular_fixture(request, name):
+    X = request.getfixturevalue(name)
+    ok, report = is_regular_subalgebra(X)
+    assert ok
+    assert all(match["g_restriction"] == match["h_root"] for match in report["matching"])
 
 
 def test_regularity_of_block_with_straddling_planes(g2_short):

@@ -6,6 +6,7 @@ from flagcurv.liealg import (
     build_lie_algebra,
     bracket,
     format_root,
+    maximal_torus,
     null_rows,
     root_decomposition,
 )
@@ -102,6 +103,21 @@ def test_root_datum_beyond_rank_eight():
             e[i], e[j] = 1, -1
             expected.add(tuple(e))
     assert {tuple(int(c) for c in r) for r in datum.roots} == expected
+
+
+@pytest.mark.parametrize(
+    "family,n,rank",
+    [("su", n, n - 1) for n in range(2, 7)]
+    + [("sp", n, n) for n in range(1, 5)]
+    + [("so", n, n // 2) for n in range(3, 9)]
+    + [("g2", 0, 2)],
+)
+def test_maximal_torus_is_abelian_with_the_family_rank(family, n, rank):
+    L = build_lie_algebra(family, n)
+    T = maximal_torus(L, np.eye(L.dim))
+    assert T.shape == (rank, L.dim)
+    assert np.abs(T @ T.T - np.eye(rank)).max() < TOL
+    assert max(np.abs(L.bracket(a, b)).max() for a in T for b in T) < TOL
 
 
 def test_null_rows_cutoff():
