@@ -11,11 +11,12 @@ quartic-perturbed family:
   5  g2 / su(2) built on a short root
 
 Constructions 2 and 5 pick the flag pole by maximizing the invariant length
-over the F-unit sphere of a distinguished subspace m1, then rotate it with
-Ad(exp x), x in the centralizing subalgebra m0, onto the positive first
-axis of a named root plane, pulling the norm back along the same rotation.
-The pole is thus sqrt(bi_norm_sq) times that axis, whichever point of the
-maximizing orbit the ascent reached.
+over the F-unit sphere of a distinguished subspace m1, by Newton steps from
+the best of a seeded sample of directions, then rotate it with Ad(exp x),
+x in the centralizing subalgebra m0, onto the positive first axis of a
+named root plane, pulling the norm back along the same rotation.  The pole
+is thus sqrt(bi_norm_sq) times that axis, whichever point of the
+maximizing orbit the Newton steps reached.
 
 Each construction's G/H is built once per process for its (p, q) and
 shared, read-only and with the caches it carries, by later calls
@@ -46,7 +47,9 @@ from .curvature import _bracket_rows, flag_curvature
 
 CLOSURE_TOL = 1e-10
 DEFAULT_EPSILONS = (0.05, 0.1, 0.2)
+EXTREMAL_SAMPLES = 256
 EXTREMAL_STARTS = 6
+EXTREMAL_STEPS = 25
 DESCENT_STEPS = 120
 # _score_gradient: the exact gradient needs a simple minimum (relative
 # eigenvalue gap) and a locally constant kernel dimension (smallest
@@ -144,92 +147,66 @@ def bracket_closure_residual(X, x, domain_rows, target_rows):
 def extremal_unit_vector(F, subspace, seed=0):
     """F-unit vector of maximal invariant length |u|^2 in the subspace.
 
-    EXTREMAL_STARTS seeded starts ascend together on the F-unit sphere, for
-    up to 80 steps; per step one gram batch gives the tangents and one
-    value_many batch scores 40 halved steps of every live start, which takes
-    its first Armijo candidate.  A start stops at the step where its tangent
-    vanishes or where none of its candidates passes, the last at the
-    rounding floor 2^-40; it keeps its iterate, and that step is its
-    iteration count.  Newton on the KKT system polishes each start; the
-    largest value wins, ties going to the smaller stationarity residual
-    max |g_u(u, w)| / g_u(u,u) over unit w orthogonal to u in the
-    subspace.  The seed decides which point of the maximizing orbit comes
+    EXTREMAL_SAMPLES seeded directions are scaled to F = 1, and the
+    EXTREMAL_STARTS of largest |u|^2 take up to EXTREMAL_STEPS Newton
+    steps together on the stationarity condition 2c = mu grad F^2, each
+    rescaled to F = 1; per step one gram batch and one value_many batch
+    serve the starts whose residual 2c - mu grad F^2 is still >= 1e-14.
+    A step solves with the Hessian of |c|^2 - mu F^2 on the tangent space,
+    2I - 2 mu G with G the fundamental tensor, its eigenvalues replaced by
+    -max(|lambda|, 1e-8): Newton at a maximum, and away from a saddle,
+    to which the plain KKT Newton would converge; steps are capped at half
+    of |c|.  The largest value wins, ties going to the smaller
+    stationarity residual max |g_u(u, w)| / g_u(u,u) over unit w
+    orthogonal to u in the subspace, and it may not fall below the best
+    sample.  The seed decides which point of the maximizing orbit comes
     back; _extremal_pole moves it to a canonical one."""
     S = _orthonormal_rows(subspace)
     k = S.shape[0]
     if k == 0:
         raise ValueError("subspace must be nonzero")
-    C = np.random.default_rng(seed).standard_normal((EXTREMAL_STARTS, k))
+    C = np.random.default_rng(seed).standard_normal((EXTREMAL_SAMPLES, k))
     C /= F.value_many(C @ S)[:, None]
-    iters = np.zeros(EXTREMAL_STARTS, dtype=int)
-    etas = 0.5 ** np.arange(1, 41)
-    live = np.arange(EXTREMAL_STARTS)
-    for n_it in range(1, 81):
+    sq = np.einsum("ni,ni->n", C, C)
+    top = np.argsort(-sq, kind="stable")[:EXTREMAL_STARTS]
+    sampled, C = sq[top[0]], C[top]
+    iters = np.zeros(len(C), dtype=int)
+    live = np.arange(len(C))
+    for _ in range(EXTREMAL_STEPS):
         c = C[live]
-        U = c @ S
-        grad_con = 2.0 * np.einsum("nij,nj->ni", F.gram_batch_closed(U), U) @ S.T
-        lam = np.einsum("ni,ni->n", 2.0 * c, grad_con) / np.einsum("ni,ni->n", grad_con, grad_con)
-        t = 2.0 * c - lam[:, None] * grad_con
-        tn = np.linalg.norm(t, axis=1)
-        iters[live] = n_it
-        moving = (tn >= 1e-9) & (n_it < 80)
-        live, c, t, tn = live[moving], c[moving], t[moving], tn[moving]
+        G = S @ F.gram_batch_closed(c @ S) @ S.T
+        gc = 2.0 * np.einsum("nij,nj->ni", G, c)
+        mu = np.einsum("ni,ni->n", 2.0 * c, gc) / np.einsum("ni,ni->n", gc, gc)
+        t = 2.0 * c - mu[:, None] * gc
+        moving = np.abs(t).max(axis=1) >= 1e-14
+        live, c, G, gc, mu, t = (a[moving] for a in (live, c, G, gc, mu, t))
         if not len(live):
             break
-        cand = c[:, None, :] + etas[None, :, None] * t[:, None, :]
-        cand /= F.value_many(cand.reshape(-1, k) @ S).reshape(len(live), -1, 1)
-        base = np.einsum("ni,ni->n", c, c)[:, None]
-        ok = np.einsum("nji,nji->nj", cand, cand) > base + 0.25 * etas * (tn * tn)[:, None]
-        # a start with no Armijo candidate down to 2^-40 sits at the
-        # rounding floor: it keeps its iterate and retires
-        found = np.flatnonzero(ok.any(axis=1))
-        C[live[found]] = cand[found, ok[found].argmax(axis=1)]
-        live = live[found]
-        if not len(live):
-            break
-
-    def stationarity(c):
-        u = c @ S
-        G = F.gram(u, method="closed")
-        p = S @ (G @ u)
-        chat = c / np.linalg.norm(c)
-        tang = p - (p @ chat) * chat
-        return float(np.abs(tang).max() / (u @ G @ u))
-
-    def kkt_polish(c, iters=25):
-        # Newton on the stationarity system 2c = mu * grad(F^2), F^2 = 1;
-        # grad F^2 = 2 G u and Hess F^2 = 2 G with G the fundamental tensor
-        mu = None
-        for _ in range(iters):
-            u = c @ S
-            G = F.gram(u, method="closed")
-            gc = 2.0 * (S @ (G @ u))
-            if mu is None:
-                mu = float(2.0 * c @ gc) / float(gc @ gc)
-            r = np.concatenate([2.0 * c - mu * gc, [F.value(u) ** 2 - 1.0]])
-            if np.abs(r).max() < 1e-14:
-                break
-            J = np.zeros((k + 1, k + 1))
-            J[:k, :k] = 2.0 * np.eye(k) - 2.0 * mu * (S @ G @ S.T)
-            J[:k, k] = -gc
-            J[k, :k] = gc
-            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-            c = c + step[:k]
-            mu = mu + step[k]
-        return c / F.value(c @ S)
+        nrm = gc / np.linalg.norm(gc, axis=1, keepdims=True)
+        P = np.eye(k) - nrm[:, :, None] * nrm[:, None, :]
+        lam, V = np.linalg.eigh(P @ (2.0 * np.eye(k) - 2.0 * mu[:, None, None] * G) @ P)
+        d = np.einsum("nij,nj->ni", V, np.einsum("nji,nj->ni", V, t) / np.maximum(np.abs(lam), 1e-8))
+        d *= np.minimum(1.0, 0.5 * np.linalg.norm(c, axis=1) / np.linalg.norm(d, axis=1))[:, None]
+        c = c + d
+        C[live] = c / F.value_many(c @ S)[:, None]
+        iters[live] += 1
+    U = C @ S
+    GU = np.einsum("nij,nj->ni", F.gram_batch_closed(U), U)
+    p = GU @ S.T
+    chat = C / np.linalg.norm(C, axis=1, keepdims=True)
+    tang = p - np.einsum("ni,ni->n", p, chat)[:, None] * chat
+    stationarity = np.abs(tang).max(axis=1) / np.einsum("ni,ni->n", U, GU)
 
     best = None
-    for c, n_it in zip(C, iters):
-        c = kkt_polish(c)
-        res = stationarity(c)
+    for c, res, n_it in zip(C, stationarity, iters):
         value = float(c @ c)
         if best is None or value > best[0] + 1e-14 or (abs(value - best[0]) < 1e-12 and res < best[1]):
-            best = (value, res, c, int(n_it))
+            best = (value, float(res), c, int(n_it))
     value, res, c, iters = best
-    if res > 1e-6:
+    if res > 1e-6 or value < sampled - 1e-12:
         err = RuntimeError(
-            "projected ascent did not reach stationarity (residual %.3e after %d iterations)"
-            % (res, iters)
+            "Newton did not reach a stationary maximum (residual %.3e after %d iterations, "
+            "value %.17g, best sample %.17g)" % (res, iters, value, sampled)
         )
         err.best_iterate = c @ S
         raise err
@@ -263,8 +240,8 @@ def _extremal_pole(X, F, m0, m1, axis, seed):
     """Pole u of constructions 2 and 5, the norm pulled back for it, and aux.
 
     The F-extremal pole of m1 (seed + 7) is rotated by m0 onto the line of
-    the unit vector axis and taken on its positive side, so u
-    is sqrt(bi_norm_sq) axis whatever orbit point the ascent reached.  The
+    the unit vector axis and taken on its positive side, so u is
+    sqrt(bi_norm_sq) axis whatever orbit point the Newton steps reached.  The
     norm is reversible, so the sign needs no pullback."""
     u_star, ext = extremal_unit_vector(F, m1, seed=seed + 7)
     R, align_res = _align_into_plane(X, m0, u_star, axis)

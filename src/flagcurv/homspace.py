@@ -501,9 +501,9 @@ def is_regular_subalgebra(X):
     centralizer of t_H is a subalgebra containing t_H; h is regular iff
     that normalizer has full rank.  When it does, a maximal torus of the
     normalizer aligns the root planes of g with those of h, and the report
-    lists each root of h on t_H (h_root) with the root of g on t_H that
-    restricts to it (g_restriction): that is h_root when some root plane
-    of g is the h-plane, and None when none is.  Returns (verdict, report).
+    lists each root of h on t_H (h_root) with whether some root plane of g
+    is its h-plane (matched); the root of g on a matched plane restricts to
+    h_root itself.  Returns (verdict, report).
     The pair is computed once per space; each call gets its own copy of the
     report.
     """
@@ -553,7 +553,6 @@ def _regularity(X):
 
     g_planes = []
     if regular:
-        report["torus_extension_dim"] = int(t_g.shape[0])
         g_planes, _ = torus_blocks(g.ad, t_g, np.eye(g.dim))
         if any(p.shape[0] != 2 for p in g_planes):
             raise RuntimeError("torus refinement left a block that is not a plane")
@@ -563,8 +562,8 @@ def _regularity(X):
         # a root plane of g that is hp: ad(t_H) turns that one plane, so the
         # root of g restricts to beta
         matched = any(np.linalg.svd(hp @ gp.T, compute_uv=False).min() > 1.0 - 1e-8 for gp in g_planes)
-        matching.append({"h_root": beta, "g_restriction": list(beta) if matched else None})
-    if regular and any(m["g_restriction"] is None for m in matching):
+        matching.append({"h_root": beta, "matched": matched})
+    if regular and not all(m["matched"] for m in matching):
         regular = False
     report["matching"] = matching
     return regular, report
