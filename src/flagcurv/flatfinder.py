@@ -558,8 +558,9 @@ def _example5(params, epsilons, seed, u_angle, v_angle):
     # torus element of H acting as Id / -Id / R(pi/3) on m0 / m1 / m2
     s_unit = abs(datum.root_value(datum.index_for_root((1, 1)), t1))
     R_blocks = X.m_basis @ sla.expm((np.pi / 3.0 / s_unit) * g.ad(t1)) @ X.m_basis.T
+    # complex even where every eigenvalue comes out real: one JSON type
     block_eigs = {
-        name: np.linalg.eigvals(rows @ R_blocks @ rows.T).tolist()
+        name: np.asarray(np.linalg.eigvals(rows @ R_blocks @ rows.T), complex).tolist()
         for name, rows in (("m0", m0), ("m1", m1), ("m2", m2))
     }
 

@@ -19,8 +19,8 @@ import scipy.linalg as sla
 ALGEBRA_TOL = 1e-10
 SPEED_CLUSTER_TOL = 1e-8
 
-# seed of the generic element maximal_torus draws: fixed, so a torus basis,
-# and the g2 root labels _derive_lattice reads off it, repeat from run to run
+# seed of the generic element maximal_torus draws and _derive_lattice orders
+# g2 roots by: fixed, so torus bases and g2 root labels repeat run to run
 _TORUS_SEED = 2024
 
 # Scale of the invariant form <x,y> = -kappa * trace(xy) in the real
@@ -632,20 +632,15 @@ def root_decomposition(L, cartan, lattice=None):
 
 def _derive_lattice(L, cart_on, planes, covector):
     """Lattice generators dual to the simple roots (used when no natural
-    diagonal lattice exists, e.g. g2)."""
+    diagonal lattice exists, e.g. g2).  The positive roots are positive on
+    the torus part of maximal_torus's generic element, which is fixed in
+    algebra coordinates, so they do not depend on the basis cart_on."""
     reps = [covector(p, cart_on) for p in planes]
-    func = np.array([1.0 + 0.013 * k for k in range(cart_on.shape[0])])
+    func = cart_on @ np.random.default_rng(_TORUS_SEED).standard_normal(L.dim)
     pos = [v if v @ func > 0 else -v for v in reps]
-    simple = []
-    for i, a in enumerate(pos):
-        is_sum = any(
-            np.linalg.norm(pos[j] + pos[k] - a) < 1e-8
-            for j in range(len(pos))
-            for k in range(len(pos))
-            if j != i and k != i
-        )
-        if not is_sum:
-            simple.append(np.asarray(a))
+    # the simple roots: positive roots that are no sum of two positive roots
+    sums = (np.array(pos)[:, None] + np.array(pos)[None]).reshape(-1, len(func))
+    simple = [a for a in pos if np.linalg.norm(sums - a, axis=1).min() > 1e-8]
     if len(simple) != cart_on.shape[0]:
         raise RuntimeError("could not identify simple roots")
     simple.sort(key=lambda v: float(v @ v))  # short roots first

@@ -299,6 +299,7 @@ def test_verify_example_5_block_report(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     flag = report["payload"]["flags"][0]
     eigs = flag["aux"]["block_rotation_eigenvalues"]
+    assert all(z.keys() == {"re", "im"} for block in eigs.values() for z in block)
     m1 = [complex(z["re"], z["im"]) for z in eigs["m1"]]
     assert all(abs(z + 1.0) < 1e-9 for z in m1)
     assert report["payload"]["notes"]["decomposition_dims"] == [3, 4, 4]

@@ -3,7 +3,7 @@ import pytest
 
 from flagcurv.homspace import build_space, SubalgebraSpec
 from flagcurv.liealg import build_lie_algebra, _quat_to_real
-from flagcurv.minkowski import make_norm
+from flagcurv.minkowski import check_norm_properties, make_norm
 from flagcurv.curvature import _flatness_vectors, flag_curvature
 from flagcurv import numdiff
 from flagcurv import flatfinder
@@ -138,10 +138,10 @@ def test_example4_auxiliary_action(ex4):
 
 def test_example5_block_action(ex5):
     eigs = ex5.flags[0].aux["block_rotation_eigenvalues"]
-    m0 = np.array([complex(z["re"], z["im"]) if isinstance(z, dict) else complex(z) for z in eigs["m0"]]) \
-        if isinstance(eigs["m0"][0], dict) else np.asarray(eigs["m0"], dtype=complex)
-    m1 = np.asarray(eigs["m1"], dtype=complex)
-    m2 = np.asarray(eigs["m2"], dtype=complex)
+    # complex in every block, though rounding leaves the m0 eigenvalues
+    # real, so the report's JSON type does not depend on the last bits
+    assert all(type(z) is complex for block in eigs.values() for z in block)
+    m0, m1, m2 = (np.asarray(eigs[name]) for name in ("m0", "m1", "m2"))
     assert np.abs(m0 - 1.0).max() < 1e-9
     assert np.abs(m1 + 1.0).max() < 1e-9
     target = np.exp(1j * np.pi / 3)
@@ -237,6 +237,33 @@ def test_catalog_poles_beat_sampled_directions(monkeypatch):
     for F, m1, info in calls:
         assert info["stationarity"] < 1e-8
         assert info["bi_norm_sq"] >= _sampled_max_bi_norm_sq(F, m1) - 1e-12
+
+
+def test_metric_check_does_not_depend_on_the_extremal_seed(monkeypatch):
+    # the seed moves the unrotated pole along its maximizing orbit, and so
+    # the pulled-back norm by an isometry fixing the pole; every key of the
+    # report is a function of that isometry class
+    recorded = []
+
+    def recording(*args):
+        recorded.append(args)
+        return _extremal_pole(*args)
+
+    monkeypatch.setattr(flatfinder, "_extremal_pole", recording)
+    for example_id in (2, 5):
+        recorded.clear()
+        construct_example_flat(example_id, epsilons=(0.05,), seed=0)
+        X, F, m0, m1, axis, _ = recorded[0]
+        reports = [
+            check_norm_properties(_extremal_pole(X, F, m0, m1, axis, seed)[1], X, samples=128, seed=0)
+            for seed in range(4)
+        ]
+        assert reports[0]["convexity_lower_bound"] > 0, example_id
+        assert reports[0]["invariance_residual"] < 1e-12, example_id
+        for rep in reports[1:]:
+            assert rep.keys() == reports[0].keys()
+            for key, value in rep.items():
+                assert abs(value - reports[0][key]) <= 1e-12, (example_id, key)
 
 
 @pytest.mark.parametrize("fixture,root", [("ex2", (1, 0, -1, 0)), ("ex5", (0, 1))])

@@ -155,6 +155,20 @@ def test_g2_root_structure(g2):
     assert coords == {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
 
 
+def test_g2_roots_do_not_depend_on_the_cartan_basis(g2):
+    # the simple roots are chosen by a functional fixed in algebra
+    # coordinates, so a rotated orthonormal basis of the same torus names
+    # the same plane by every root
+    datum = g2.root_datum()
+    projector = lambda d: np.einsum("kia,kja->kij", d.planes, d.planes)
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        R = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+        rotated = root_decomposition(g2, R @ datum.cartan)
+        assert np.array_equal(rotated.roots, datum.roots)
+        assert np.abs(projector(rotated) - projector(datum)).max() < 1e-10
+
+
 def test_root_plane_rotation_identities(sp3):
     datum = sp3.root_datum()
     for k in range(datum.n_pairs):

@@ -53,7 +53,8 @@ def test_quartic_properties_report(sp2_circle21, quartic):
     assert rep["homogeneity_residual"] < 1e-10
     assert rep["reversibility_residual"] < 1e-10
     assert rep["invariance_residual"] < 1e-10
-    assert rep["min_gram_eigenvalue"] > 0
+    assert rep["convexity_lower_bound"] == quartic.meta["convexity_lower_bound"] > 0
+    assert "convexity_min_eigenvalue" not in rep and "min_gram_eigenvalue" not in rep
 
 
 def test_riemannian_invariance_report(sp2_circle21):
@@ -71,6 +72,68 @@ def test_non_invariant_quadratic_is_flagged(sp2_circle21):
     F = MinkowskiNorm("riemannian", X.dim_m, Q)
     rep = check_norm_properties(F, X, samples=200, seed=0)
     assert rep["invariance_residual"] > 1e-3
+
+
+def test_non_invariant_quartic_term_and_unfixed_v0_are_flagged(sp2_circle21, su4_onecircle, quartic):
+    X = sp2_circle21
+    B = np.eye(X.dim_m)
+    B[1, 2] = B[2, 1] = 0.4  # the coupling of the quadratic test above
+    for terms, flagged in (([(1.0, np.eye(X.dim_m))], False), ([(1.0, B)], True)):
+        F = MinkowskiNorm("quartic_perturbed", X.dim_m, quartic.q, quartic_terms=terms, epsilon=0.1)
+        res = check_norm_properties(F, X, samples=50, seed=0)["invariance_residual"]
+        assert res > 1e-3 if flagged else res < 1e-12
+    built = make_norm("alpha_beta", {}, su4_onecircle, seed=2)
+    v0 = np.zeros(su4_onecircle.dim_m)
+    v0[-1] = 0.5  # a root-plane direction, rotated by the isotropy
+    for vec, flagged in ((built.v0, False), (v0, True)):
+        F = MinkowskiNorm("alpha_beta", built.dim, built.q, v0=vec, phi=built.phi)
+        rep = check_norm_properties(F, su4_onecircle, samples=50, seed=0)
+        assert rep["invariance_residual"] > 1e-3 if flagged else rep["invariance_residual"] < 1e-12
+        assert rep["convexity_lower_bound"] > 0
+
+
+def test_properties_report_neither_samples_isotropy_nor_scans_a_proven_norm(
+    sp2_circle21, su4_onecircle, monkeypatch
+):
+    from flagcurv.homspace import HomogeneousSpace
+    import scipy.linalg
+
+    norms = [
+        make_norm("riemannian", {}, sp2_circle21, seed=1),
+        make_norm("alpha_beta", {}, su4_onecircle, seed=2),
+        make_norm("quartic_perturbed", {"epsilon": 0.1}, sp2_circle21, seed=3),
+    ]
+    sampled = make_norm("quartic_perturbed", {"epsilon": -0.05}, sp2_circle21, seed=3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(HomogeneousSpace, "sample_isotropy", forbidden)
+    monkeypatch.setattr(scipy.linalg, "expm", forbidden)
+    rep = check_norm_properties(sampled, sp2_circle21, samples=60, seed=3)
+    assert rep["convexity_min_eigenvalue"] == sampled.meta["convexity_min_eigenvalue"]
+    assert "convexity_lower_bound" not in rep
+    monkeypatch.setattr(MinkowskiNorm, "gram_batch_closed", forbidden)
+    for F, X in zip(norms, (sp2_circle21, su4_onecircle, sp2_circle21)):
+        rep = check_norm_properties(F, X, samples=60, seed=0)
+        assert rep["convexity_lower_bound"] == F.meta["convexity_lower_bound"], F.kind
+        assert rep["invariance_residual"] < 1e-12, F.kind
+        assert rep["homogeneity_residual"] < 1e-12 and rep["reversibility_residual"] < 1e-12
+
+
+def test_transform_drops_the_convexity_key(sp2_circle21, quartic):
+    F = make_norm("riemannian", {}, sp2_circle21, seed=1)
+    for scale in (2.0, 0.5):
+        S = np.diag([scale] + [1.0] * (F.dim - 1))
+        for norm in (F, quartic):
+            Ft = norm.transform(S)
+            assert not {"convexity_lower_bound", "convexity_min_eigenvalue"} & Ft.meta.keys()
+            assert Ft.meta["invariant_blocks"] == norm.meta["invariant_blocks"]
+        # the report gives the pulled-back norm its own margin, which
+        # S = diag(0.5, 1, ...) takes below the copied label
+        rep = check_norm_properties(F.transform(S), sp2_circle21, samples=20, seed=0)
+        assert rep["convexity_lower_bound"] == np.linalg.eigvalsh(S @ F.q @ S)[0]
+    assert rep["convexity_lower_bound"] < F.meta["convexity_lower_bound"]
 
 
 def test_gram_euler_identity(quartic):
