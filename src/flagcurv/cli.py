@@ -493,9 +493,6 @@ def _run_verify_example(spec, report):
         "epsilons": task["epsilons"],
         "seed": task["seed"],
     }
-    report["metric_check"] = check_norm_properties(
-        construction.flags[0].norm, X, samples=128, seed=task["seed"]
-    )
 
     flags_payload = []
     all_pass = True
@@ -505,6 +502,7 @@ def _run_verify_example(spec, report):
             "epsilon": flag.norm.epsilon,
             "certificate": cert.to_dict(),
             "aux": flag.aux,
+            "metric_check": check_norm_properties(flag.norm, X, samples=128, seed=task["seed"]),
         }
         if flag.claims:
             claims = verify_closure_claims(construction, flag_index=idx)

@@ -522,11 +522,8 @@ def _regularity(X):
         return True, report
 
     # centralizer of t_H and the normalizer of h inside it
-    if X.t_h.shape[0]:
-        A = np.vstack([g.ad(t) for t in X.t_h])
-        z_rows = null_rows(A, 1e-9)
-    else:
-        z_rows = np.eye(g.dim)
+    ads_h = np.stack([g.ad(t) for t in X.t_h])
+    z_rows = null_rows(np.vstack(ads_h), 1e-9)
     P_off = np.eye(g.dim) - X.h_basis.T @ X.h_basis
     cols = []
     for za in z_rows:
@@ -542,7 +539,7 @@ def _regularity(X):
     report["normalizer_rank"] = int(t_g.shape[0])
     report["rank_required"] = int(g.rank)
 
-    h_planes, _ = torus_blocks(g.ad, X.t_h, _orthonormal_rows(X.h_basis))
+    h_planes, _ = torus_blocks(ads_h, _orthonormal_rows(X.h_basis))
     if any(p.shape[0] != 2 for p in h_planes):
         raise RuntimeError("torus refinement left a block that is not a plane")
     if not h_planes:
@@ -553,12 +550,12 @@ def _regularity(X):
 
     g_planes = []
     if regular:
-        g_planes, _ = torus_blocks(g.ad, t_g, np.eye(g.dim))
+        g_planes, _ = torus_blocks(np.stack([g.ad(t) for t in t_g]), np.eye(g.dim))
         if any(p.shape[0] != 2 for p in g_planes):
             raise RuntimeError("torus refinement left a block that is not a plane")
     matching = []
     for hp in h_planes:
-        beta = [float(hp[1] @ g.ad(t) @ hp[0]) for t in X.t_h]
+        beta = (hp[1] @ ads_h @ hp[0]).tolist()
         # a root plane of g that is hp: ad(t_H) turns that one plane, so the
         # root of g restricts to beta
         matched = any(np.linalg.svd(hp @ gp.T, compute_uv=False).min() > 1.0 - 1e-8 for gp in g_planes)
@@ -598,11 +595,8 @@ def isotropy_invariant_decomposition(X):
     if rt == 0:
         return InvariantDecomposition([np.eye(nm)], [tuple([0] * 0)], ["m0"])
 
-    def op(t):
-        return X.m_basis @ g.ad(t) @ X.m_basis.T
-
-    ops = [op(t) for t in X.t_h_raw]
-    rotating, zero_rows = torus_blocks(op, X.t_h_raw, np.eye(nm))
+    ops = np.stack([X.m_basis @ g.ad(t) @ X.m_basis.T for t in X.t_h_raw])
+    rotating, zero_rows = torus_blocks(ops, np.eye(nm))
     entries = []
     for blk in rotating:
         # the lead separates distinct signatures, so on the block every op is

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-ALGEBRA_TOL = 1e-10
 SPEED_CLUSTER_TOL = 1e-8
 
 # seed of the generic element maximal_torus draws and _derive_lattice orders
@@ -465,55 +464,6 @@ def format_root(coeffs, symbol="e"):
     return out[1:] if out.startswith("+") else out
 
 
-def _refine_invariant_planes(ops, basis, tol=SPEED_CLUSTER_TOL):
-    """Split a subspace into planes/lines invariant under commuting skew ops.
-
-    ops: list of (dim, dim) skew matrices (restrictions handled internally);
-    basis: (k, dim) orthonormal rows spanning the starting subspace.
-    Returns a list of orthonormal blocks, each with rotation speed constant
-    for every op (2-dim planes or 1-dim kernel lines).
-    """
-    blocks = [np.atleast_2d(basis)]
-    for A in ops:
-        refined = []
-        for blk in blocks:
-            if blk.shape[0] <= 1:
-                refined.append(blk)
-                continue
-            R = blk @ A @ blk.T  # restriction, skew
-            if np.abs(R).max() < tol:
-                refined.append(blk)
-                continue
-            T, Z = sla.schur(R, output="real")
-            k = blk.shape[0]
-            groups = {}
-            i = 0
-            order = []
-            while i < k:
-                if i + 1 < k and abs(T[i + 1, i]) > tol:
-                    speed = abs(T[i + 1, i])
-                    cols = [i, i + 1]
-                    i += 2
-                else:
-                    speed = 0.0
-                    cols = [i]
-                    i += 1
-                key = None
-                for s in groups:
-                    if abs(s - speed) < tol * max(1.0, speed):
-                        key = s
-                        break
-                if key is None:
-                    key = speed
-                    groups[key] = []
-                    order.append(key)
-                groups[key].extend(cols)
-            for key in order:
-                refined.append(_orthonormal_rows(Z[:, groups[key]].T @ blk))
-        blocks = refined
-    return blocks
-
-
 def _first_primes(r):
     """The first r primes, by trial division."""
     primes = []
@@ -525,39 +475,61 @@ def _first_primes(r):
     return primes
 
 
-def torus_blocks(op, torus_rows, basis):
+def torus_blocks(ops, basis):
     """Split the span of basis rows into blocks rotated at one speed by a torus.
 
-    op maps an element of the torus to its skew operator; torus_rows span the
-    torus and basis rows an op-invariant subspace.  The refinement leads with
-    op(lam . torus_rows), lam the normalized square roots of the first
-    primes, whose speeds separate any two distinct integer weights; the op of
-    each torus row then only orients the blocks.  The within-plane basis from
-    the Schur form is arbitrary, so the lead is op of the combined element
-    rather than the combination of the ops: that form fixes the planes.
+    ops stacks the commuting skew operators of the torus rows, and basis rows
+    span a subspace they keep.  One real Schur form of the lead
+    sum_i lam_i ops[i], lam the normalized square roots of the first primes,
+    splits it: on a plane of integer weights w the lead turns at speed
+    |lam . w|, and square roots of distinct primes are linearly independent
+    over Q (A. S. Besicovitch, J. London Math. Soc. 15, 1940), so two weights
+    share a speed only if they agree up to sign.  The Schur pairs of one speed
+    form one block, spanned by their Schur vectors.  Every op must then kill
+    the zero rows and act at one speed on each block (R R^T = s^2 I for its
+    restriction R); a block that fails holds weights the lead merged, and
+    raises RuntimeError.
 
     Returns (rotating blocks, zero rows), blocks as orthonormal rows.
     """
-    lam = np.sqrt(_first_primes(len(torus_rows)))
-    lam /= np.linalg.norm(lam)
-    ops = [op(lam @ torus_rows)] + [op(t) for t in torus_rows]
-    rotating, zero_rows = [], []
-    for blk in _refine_invariant_planes(ops, basis):
-        if max(np.abs(blk @ A @ blk.T).max() for A in ops) < SPEED_CLUSTER_TOL:
-            zero_rows.extend(blk)
-        else:
-            rotating.append(blk)
-    return rotating, np.array(zero_rows).reshape(len(zero_rows), basis.shape[1])
+    tol = SPEED_CLUSTER_TOL
+    lam = np.sqrt(_first_primes(len(ops)))
+    lead = basis @ np.tensordot(lam / np.linalg.norm(lam), ops, axes=1) @ basis.T
+    T, Z = sla.schur(lead, output="real")
+    groups = {0.0: []}
+    i = 0
+    while i < len(T):
+        pair = i + 1 < len(T) and abs(T[i + 1, i]) > tol
+        speed = abs(T[i + 1, i]) if pair else 0.0
+        key = next((s for s in groups if abs(s - speed) < tol * max(1.0, speed)), speed)
+        groups.setdefault(key, []).extend([i, i + 1] if pair else [i])
+        i += 2 if pair else 1
+    zero_rows, *rotating = [_orthonormal_rows(Z[:, cols].T @ basis) for cols in groups.values()]
+    if np.abs(zero_rows @ ops).max(initial=0.0) > tol:
+        raise RuntimeError("a torus row does not kill the zero rows of the lead")
+    for blk in rotating:
+        R = blk @ ops @ blk.T
+        RRt = R @ R.transpose(0, 2, 1)
+        s2 = np.trace(RRt, axis1=1, axis2=2) / len(blk)
+        if np.abs(RRt - s2[:, None, None] * np.eye(len(blk))).max() > tol * max(1.0, s2.max()):
+            raise RuntimeError(
+                "the lead merged weights of different speeds into one %d-dim block "
+                "(squared speeds %s)" % (len(blk), np.round(s2, 6).tolist())
+            )
+    return rotating, zero_rows
 
 
 def root_decomposition(L, cartan, lattice=None):
     """Decompose L into root planes for the given Cartan subalgebra.
 
     cartan: rows spanning a maximal abelian subalgebra.  lattice, when given,
-    supplies the elements on which roots take integer values; otherwise a
-    lattice is derived from the simple roots.  Roots are reported in
-    canonical order (ascending lexicographic on the integer covector, with
-    the lexicographically positive representative of each pair).
+    supplies the elements on which roots take integer values, and they lead
+    the torus split; otherwise the orthonormal Cartan rows lead it and a
+    lattice is derived from the simple roots.  ad of each leading row is
+    formed once, and the root covectors, the derived lattice and the final
+    check all read that stack.  Roots are reported in canonical order
+    (ascending lexicographic on the integer covector, with the
+    lexicographically positive representative of each pair).
     """
     cartan = np.atleast_2d(np.asarray(cartan, dtype=float))
     r = cartan.shape[0]
@@ -574,97 +546,75 @@ def root_decomposition(L, cartan, lattice=None):
             "cartan has dimension %d but the algebra has rank %d" % (cart_on.shape[0], expected)
         )
 
-    rotating, zero_space = torus_blocks(L.ad, cart_on, np.eye(L.dim))
-    for blk in rotating:
-        if blk.shape[0] != 2:
-            raise RuntimeError(
-                "simultaneous refinement failed to isolate a root plane (block dim %d)" % blk.shape[0]
-            )
-    planes = [blk.T.copy() for blk in rotating]
-    if 2 * len(planes) + len(zero_space) != L.dim:
+    rows = cart_on if lattice is None else np.atleast_2d(np.asarray(lattice, dtype=float))
+    ads = np.stack([L.ad(t) for t in rows])
+    rotating, zero_space = torus_blocks(ads, np.eye(L.dim))
+    if any(blk.shape[0] != 2 for blk in rotating):
+        raise RuntimeError("a torus block of %s is not a root plane" % L.family)
+    if 2 * len(rotating) + len(zero_space) != L.dim:
         raise RuntimeError("root plane decomposition does not fill the algebra")
-
-    # orient each plane and measure covectors
-    def covector(plane, elts):
-        x, y = plane[:, 0], plane[:, 1]
-        return np.array([float(y @ (L.ad(t) @ x)) for t in elts])
-
+    planes = np.stack([blk.T for blk in rotating])
+    # covectors on the rows: alpha_k(t) = <y_k, ad(t) x_k>
+    vals = np.einsum("kd,mde,ke->km", planes[:, :, 1], ads, planes[:, :, 0])
     if lattice is None:
-        lattice = _derive_lattice(L, cart_on, planes, covector)
-    lattice = np.atleast_2d(np.asarray(lattice, dtype=float))
+        coeffs = _derive_lattice(L, cart_on, vals)
+        lattice, vals, ads = coeffs @ cart_on, vals @ coeffs.T, np.tensordot(coeffs, ads, axes=1)
 
-    roots = []
-    oriented = []
-    for plane in planes:
-        vals = covector(plane, lattice)
-        ints = np.round(vals)
-        if np.abs(vals - ints).max() > 1e-6:
-            raise RuntimeError("non-integral root covector %s on the torus lattice" % vals)
-        ints = ints.astype(int)
-        flip = False
-        nz = ints[ints != 0]
-        if len(nz) == 0:
-            raise RuntimeError("zero covector on a rotation plane")
-        if nz[0] < 0:
-            ints = -ints
-            flip = True
-        pl = plane.copy()
-        if flip:
-            pl[:, 1] = -pl[:, 1]
-        roots.append(ints)
-        oriented.append(pl)
-
-    order = sorted(range(len(roots)), key=lambda k: tuple(roots[k]))
-    roots = np.stack([roots[k] for k in order])
-    planes = np.stack([oriented[k] for k in order])
+    roots = np.round(vals)
+    off = np.abs(vals - roots).max(axis=1)
+    if off.max() > 1e-6:
+        raise RuntimeError("non-integral root covector %s on the torus lattice" % vals[off.argmax()])
+    roots = roots.astype(int)
+    if not roots.any(axis=1).all():
+        raise RuntimeError("zero covector on a rotation plane")
+    # orient each plane so its first nonzero coordinate is positive
+    sign = np.sign(roots[np.arange(len(roots)), (roots != 0).argmax(axis=1)])
+    roots *= sign[:, None]
+    planes[:, :, 1] *= sign[:, None]
+    order = np.lexsort(roots.T[::-1])
 
     datum = RootDatum(
         algebra=L,
         cartan=cart_on,
         lattice=lattice,
-        roots=roots,
-        planes=planes,
+        roots=roots[order],
+        planes=planes[order],
         zero_space=zero_space,
     )
-    _verify_datum(datum)
+    _verify_datum(datum, ads)
     return datum
 
 
-def _derive_lattice(L, cart_on, planes, covector):
+def _derive_lattice(L, cart_on, reps):
     """Lattice generators dual to the simple roots (used when no natural
-    diagonal lattice exists, e.g. g2).  The positive roots are positive on
+    diagonal lattice exists, e.g. g2), as coefficient rows on cart_on; reps
+    are the root covectors on cart_on.  The positive roots are positive on
     the torus part of maximal_torus's generic element, which is fixed in
     algebra coordinates, so they do not depend on the basis cart_on."""
-    reps = [covector(p, cart_on) for p in planes]
     func = cart_on @ np.random.default_rng(_TORUS_SEED).standard_normal(L.dim)
-    pos = [v if v @ func > 0 else -v for v in reps]
+    pos = reps * np.sign(reps @ func)[:, None]
     # the simple roots: positive roots that are no sum of two positive roots
-    sums = (np.array(pos)[:, None] + np.array(pos)[None]).reshape(-1, len(func))
+    sums = (pos[:, None] + pos[None]).reshape(-1, len(func))
     simple = [a for a in pos if np.linalg.norm(sums - a, axis=1).min() > 1e-8]
     if len(simple) != cart_on.shape[0]:
         raise RuntimeError("could not identify simple roots")
     simple.sort(key=lambda v: float(v @ v))  # short roots first
-    S = np.stack(simple)
     # lattice generator j: element of t with simple_i(ell_j) = delta_ij
-    dual = np.linalg.solve(S, np.eye(S.shape[0]))
-    return (dual.T @ cart_on)
+    return np.linalg.inv(np.stack(simple)).T
 
 
-def _verify_datum(datum, tol=ALGEBRA_TOL):
-    L = datum.algebra
-    # rotation identities on every plane against every lattice generator
-    for k in range(datum.n_pairs):
-        x, y = datum.planes[k, :, 0], datum.planes[k, :, 1]
-        for m, t in enumerate(datum.lattice):
-            a = float(datum.roots[k, m])
-            r1 = np.linalg.norm(L.bracket(t, x) - a * y)
-            r2 = np.linalg.norm(L.bracket(t, y) + a * x)
-            if max(r1, r2) > 1e-7 * max(1.0, abs(a)):
-                raise RuntimeError("root plane rotation identity failed (residual %.3e)" % max(r1, r2))
-    # orthogonality of planes and zero space
-    flat = [datum.planes[k, :, i] for k in range(datum.n_pairs) for i in (0, 1)]
-    flat.extend(datum.zero_space)
-    V = np.stack(flat)
+def _verify_datum(datum, ads):
+    """Rotation identities on every plane against every lattice generator,
+    ads stacking ad of the lattice rows, and orthonormality of the planes
+    and the zero space."""
+    X, Y = datum.planes[:, :, 0], datum.planes[:, :, 1]
+    a = datum.roots.T[:, :, None].astype(float)
+    r1 = np.linalg.norm(X @ ads.transpose(0, 2, 1) - a * Y, axis=2)
+    r2 = np.linalg.norm(Y @ ads.transpose(0, 2, 1) + a * X, axis=2)
+    worst = (np.maximum(r1, r2) / np.maximum(1.0, np.abs(a[:, :, 0]))).max()
+    if worst > 1e-7:
+        raise RuntimeError("root plane rotation identity failed (residual %.3e)" % worst)
+    V = np.vstack([X, Y, datum.zero_space])
     gram = V @ datum.algebra.bi_form @ V.T
     if np.abs(gram - np.eye(len(V))).max() > 1e-9:
         raise RuntimeError("root planes are not orthonormal")

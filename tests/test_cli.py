@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from flagcurv.cli import SpecError, canonical_json, main, parse_space_spec, run, validate_spec
+from flagcurv.flatfinder import construct_example_flat
+from flagcurv.minkowski import check_norm_properties
 
 
 def _write(tmp_path, doc, name="spec.json"):
@@ -284,6 +286,27 @@ def test_verify_example_3(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["payload"]["passed"] is True
     assert all(f["certificate"]["verdict"] == "zero_flag" for f in report["payload"]["flags"])
+
+
+def test_verify_example_checks_the_norm_of_every_flag(tmp_path, capsys):
+    # construction 2 certifies each flag on its own pulled-back norm; each
+    # flags[k] entry carries that norm's metric_check, and the report no
+    # longer carries one for flags[0] alone at the top
+    doc = {"task": {"name": "verify-example", "example_id": 2, "seed": 1}}
+    assert main(["verify-example", _write(tmp_path, doc)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "metric_check" not in report
+    construction = construct_example_flat(2, seed=1)
+    entries = report["payload"]["flags"]
+    assert len(entries) == len(construction.flags) == 3
+    for entry, flag in zip(entries, construction.flags):
+        expected = check_norm_properties(flag.norm, construction.space, samples=128, seed=1)
+        assert entry["metric_check"].keys() == expected.keys()
+        for key, value in expected.items():
+            assert entry["metric_check"][key] == pytest.approx(value, rel=1e-12, abs=1e-15)
+        assert entry["metric_check"]["convexity_lower_bound"] > 0
+        assert entry["metric_check"]["invariance_residual"] < 1e-10
+    assert len({e["metric_check"]["convexity_lower_bound"] for e in entries}) == 3
 
 
 def test_verify_example_id_flag_overrides(tmp_path, capsys):

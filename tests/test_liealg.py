@@ -9,6 +9,7 @@ from flagcurv.liealg import (
     maximal_torus,
     null_rows,
     root_decomposition,
+    torus_blocks,
 )
 
 TOL = 1e-10
@@ -91,8 +92,8 @@ def test_su_root_count():
 
 
 def test_root_datum_beyond_rank_eight():
-    # the refinement lead takes one prime per torus direction, so rank 9
-    # needs a ninth prime
+    # the lead of the torus split takes one prime per lattice row, so su(10)
+    # needs ten
     L = build_lie_algebra("su", 10)
     datum = L.root_datum()
     assert datum.n_pairs == 45
@@ -155,18 +156,102 @@ def test_g2_root_structure(g2):
     assert coords == {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
 
 
+def _assert_roots_do_not_depend_on_the_cartan_basis(L):
+    datum = L.root_datum()
+    lattice = L.canonical_cartan()[1]
+    projector = lambda d: np.einsum("kia,kja->kij", d.planes, d.planes)
+    rng = np.random.default_rng(0)
+    r = len(datum.cartan)
+    for _ in range(8):
+        R = np.linalg.qr(rng.standard_normal((r, r)))[0]
+        rotated = root_decomposition(L, R @ datum.cartan, lattice=lattice)
+        assert np.array_equal(rotated.roots, datum.roots)
+        assert np.abs(projector(rotated) - projector(datum)).max() < 1e-10
+
+
 def test_g2_roots_do_not_depend_on_the_cartan_basis(g2):
     # the simple roots are chosen by a functional fixed in algebra
     # coordinates, so a rotated orthonormal basis of the same torus names
     # the same plane by every root
-    datum = g2.root_datum()
-    projector = lambda d: np.einsum("kia,kja->kij", d.planes, d.planes)
-    rng = np.random.default_rng(0)
-    for _ in range(8):
-        R = np.linalg.qr(rng.standard_normal((2, 2)))[0]
-        rotated = root_decomposition(g2, R @ datum.cartan)
-        assert np.array_equal(rotated.roots, datum.roots)
-        assert np.abs(projector(rotated) - projector(datum)).max() < 1e-10
+    _assert_roots_do_not_depend_on_the_cartan_basis(g2)
+
+
+@pytest.mark.parametrize("family,n", [("su", 5), ("sp", 3), ("so", 7)])
+def test_roots_do_not_depend_on_the_cartan_basis(family, n):
+    # su, sp and so split by their lattice, whatever the Cartan basis
+    _assert_roots_do_not_depend_on_the_cartan_basis(build_lie_algebra(family, n))
+
+
+def _assert_single_speed_blocks(ops, basis):
+    """torus_blocks(ops, basis) tiles the span of basis with orthonormal
+    blocks that every op keeps and turns at one speed, and zero rows that
+    every op kills."""
+    rotating, zero_rows = torus_blocks(ops, basis)
+    rows = np.vstack(rotating + [zero_rows])
+    assert rows.shape == basis.shape
+    assert np.abs(rows @ rows.T - np.eye(len(rows))).max() < 1e-10
+    assert np.abs(rows.T @ rows - basis.T @ basis).max() < 1e-10
+    assert np.abs(zero_rows @ ops).max(initial=0.0) < 1e-10
+    for blk in rotating:
+        assert len(blk) % 2 == 0
+        R = blk @ ops @ blk.T
+        assert np.abs(ops @ blk.T - blk.T @ R).max() < 1e-10
+        RRt = R @ R.transpose(0, 2, 1)
+        s2 = np.trace(RRt, axis1=1, axis2=2) / len(blk)
+        assert np.abs(RRt - s2[:, None, None] * np.eye(len(blk))).max() < 1e-10
+        assert s2.max() > 1e-6
+    return rotating, zero_rows
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [("su", n) for n in range(2, 9)] + [("so", n) for n in range(3, 9)]
+    + [("sp", n) for n in range(1, 7)] + [("g2", 0)],
+)
+def test_torus_blocks_of_root_data_are_single_speed_planes(family, n):
+    L = build_lie_algebra(family, n)
+    cartan, lattice = L.canonical_cartan()
+    rows = cartan if lattice is None else lattice
+    rotating, zero_rows = _assert_single_speed_blocks(np.stack([L.ad(t) for t in rows]), np.eye(L.dim))
+    assert [len(blk) for blk in rotating] == [2] * L.root_datum().n_pairs
+    assert len(zero_rows) == L.rank
+
+
+@pytest.mark.parametrize(
+    "name", ["sp2_circle21", "su4_weighted", "su4_onecircle", "sp3_mixed", "g2_short", "so7_block5"]
+)
+def test_torus_blocks_of_the_space_fixtures_are_single_speed(request, name):
+    # the three splits a space makes: m under its isotropy torus, the root
+    # planes of h, and the planes of a maximal torus of g through t_H
+    X = request.getfixturevalue(name)
+    g = X.g
+    _assert_single_speed_blocks(np.stack([X.m_basis @ g.ad(t) @ X.m_basis.T for t in X.t_h_raw]), np.eye(X.dim_m))
+    ads_h = np.stack([g.ad(t) for t in X.t_h])
+    _assert_single_speed_blocks(ads_h, X.h_basis)
+    t_g = maximal_torus(g, null_rows(np.vstack(ads_h), 1e-9))
+    _assert_single_speed_blocks(np.stack([g.ad(t) for t in t_g]), np.eye(g.dim))
+
+
+def _planes_op(weights):
+    """Skew operators of two torus rows on R^4 = two coordinate planes, the
+    k-th plane turned at speed weights[k][i] by row i."""
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    ops = np.zeros((2, 4, 4))
+    for k, w in enumerate(weights):
+        for i in range(2):
+            ops[i, 2 * k:2 * k + 2, 2 * k:2 * k + 2] = w[i] * J
+    return ops
+
+
+def test_torus_blocks_raise_where_the_lead_merges_weights():
+    # the lead turns at speed |lam . w|, lam = (sqrt 2, sqrt 3)/sqrt 5: the
+    # real weights (1, 0) and (0, sqrt 2/sqrt 3) both give sqrt 2/sqrt 5, and
+    # (sqrt 3, -sqrt 2) gives 0
+    _assert_single_speed_blocks(_planes_op([(1.0, 0.0), (0.0, 1.0)]), np.eye(4))
+    with pytest.raises(RuntimeError, match="merged weights"):
+        torus_blocks(_planes_op([(1.0, 0.0), (0.0, np.sqrt(2.0 / 3.0))]), np.eye(4))
+    with pytest.raises(RuntimeError, match="does not kill"):
+        torus_blocks(_planes_op([(1.0, 0.0), (np.sqrt(3.0), -np.sqrt(2.0))]), np.eye(4))
 
 
 def test_root_plane_rotation_identities(sp3):
