@@ -610,7 +610,8 @@ def verify_closure_claims(example, m_prime=None, flag_index=0, tol=CLOSURE_TOL):
     """Residual report for the bracket-closure claims of a construction.
 
     m_prime overrides the stored auxiliary subspace (used for negative
-    controls); claims whose target is built from m' are re-targeted.
+    controls); a claim whose domain is m' is re-targeted to the override
+    plus the rows of its own target that lie outside the stored m'.
     """
     flag = example.flags[flag_index]
     X = example.space
@@ -623,7 +624,8 @@ def verify_closure_claims(example, m_prime=None, flag_index=0, tol=CLOSURE_TOL):
             domain = m_prime if m_prime is not None else flag.m_prime
         target = claim.target
         if m_prime is not None and claim.domain == "m_prime":
-            target = m_prime
+            T = _orthonormal_rows(target)
+            target = _stack_rows(m_prime, _orthonormal_rows(T - (T @ flag.m_prime.T) @ flag.m_prime, tol=1e-9))
         res = bracket_closure_residual(X, x, domain, target)
         entry = {
             "description": claim.description,

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .liealg import (
+    _TORUS_SEED,
     LieAlgebra,
     _block_generators,
     _complex_to_real,
@@ -27,6 +28,9 @@ from .liealg import (
     subalgebra_from_matrices,
     torus_blocks,
 )
+
+# eigenvalues of A^2, A the lead of _commutant, closer than this times |A|^2 form one cluster
+LEAD_GAP = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -674,62 +678,70 @@ def ad_rotation_speeds(X, torus_weights, datum=None):
     return out
 
 
-def _commutant_system(ops, nm):
-    """The commutator [S, A] for every A in ops, as a linear map of the
-    packed upper triangle of a symmetric S (np.triu_indices order): one
-    block of nm * nm rows per op, one column per packed entry.
+def _commutant(ops, centre):
+    """Frobenius-orthonormal basis, as a (k, nm, nm) stack, of the symmetric
+    matrices that commute with the skew stack ops, the representation of an
+    algebra h whose centre has coefficient rows centre on ops.
 
-    Each op's block comes from all the packed unit symmetric matrices E at
-    once.  A row of E holds one unit entry at most, so every entry of
-    E A - A E is an entry of A or a difference of two, exactly as in a
-    product formed column by column.  The temporaries are the size of one
-    op's block."""
-    iu = np.triu_indices(nm)
-    k = len(iu[0])
-    E = np.zeros((k, nm, nm))
-    E[np.arange(k), iu[0], iu[1]] = 1.0
-    E[np.arange(k), iu[1], iu[0]] = 1.0
-    mat = np.empty((len(ops) * nm * nm, k))
-    for a, A in enumerate(ops):
-        mat[a * nm * nm:(a + 1) * nm * nm] = (E @ A - A @ E).reshape(k, nm * nm).T
-    return mat
+    A symmetric S that commutes with a skew A commutes with A^2, so it
+    preserves every eigenspace of A^2, and every union of them, for the lead
+    A, a generic element drawn from the fixed seed.  Eigenvalues of A^2
+    closer than LEAD_GAP * |A|^2 form one cluster: eigenvectors that close
+    are mixed, while the span of a cluster is accurate.  Only the symmetric
+    blocks on the clusters are unknowns, and [S, A] = 0 restores any finer
+    split a cluster merges.  Two generic elements and the centre generate a
+    compact h (M. Kuranishi, Nagoya Math. J. 2, 1951), so S commutes with
+    ops once it commutes with the lead, the next draw and the centre."""
+    nm = ops.shape[1]
+    gens = np.tensordot(np.random.default_rng(_TORUS_SEED).standard_normal((2, len(ops))), ops, axes=1)
+    vals, V = np.linalg.eigh(gens[0] @ gens[0])
+    cluster = np.concatenate([[0], np.cumsum(np.diff(vals) > LEAD_GAP * np.abs(vals).max())])
+    gens = np.concatenate([gens, np.tensordot(centre, ops, axes=1)])
+    # unknowns: the unit symmetric matrices within one cluster, in the
+    # eigenbasis and of Frobenius norm 1, so kernel rows are orthonormal
+    p, q = np.triu_indices(nm)
+    pairs = cluster[p] == cluster[q]
+    k = np.arange(np.count_nonzero(pairs))
+    E = np.zeros((len(k), nm, nm))
+    E[k, p[pairs], q[pairs]] = E[k, q[pairs], p[pairs]] = np.where(p == q, 1.0, np.sqrt(0.5))[pairs]
+    # [S, B] is symmetric: its upper triangle holds every condition
+    system = np.vstack([(E @ B - B @ E).reshape(len(E), -1)[:, p * nm + q].T for B in V.T @ gens @ V])
+    kernel = np.tensordot(null_rows(system, 1e-10), E, axes=1)
+    return V @ kernel @ V.T
 
 
 def invariant_blocks(X, seed=0):
     """Finest Ad(H)-invariant orthogonal splitting of m, via the commutant.
 
-    Solves for all symmetric matrices commuting with every ad(h)|_m and
-    takes eigenspaces of a seeded generic element; each returned block is an
-    exactly invariant subspace (rows in m-coordinates).  The commutant does
-    not depend on the seed and is solved once per space.
+    The commutant of ad(h)|_m is solved once per space by _commutant: the
+    symmetric matrices, block diagonal over the clusters of eigenvalues of
+    A^2 (gaps within a cluster below LEAD_GAP * |A|^2) for the lead A, a
+    generic isotropy element drawn from a fixed seed, that commute with a
+    generating set of h: the lead, the next draw and a basis of the centre
+    of h.  The seeded
+    element S is the Frobenius projection of a seeded symmetric R (upper
+    triangle standard normal), S = sum_i <R, N_i> N_i over the cached
+    orthonormal basis N, so S does not depend on that basis.  The
+    eigenspaces of S are the blocks (rows in m-coordinates), and each is
+    checked to be invariant under ad(h) for every row h of h_basis.
     """
     nm = X.dim_m
     if X.dim_h == 0:
         return [np.eye(nm)]
     ops = X.isotropy_ad()
     if "commutant" not in X._cache:
-        X._cache["commutant"] = null_rows(_commutant_system(ops, nm), 1e-10)
+        brackets = np.tensordot(np.tensordot(X.h_basis, X.g.structure_constants, axes=1), X.h_basis, axes=(1, 1))
+        centre = null_rows(np.tensordot(X.h_basis, brackets, axes=(1, 1)).reshape(-1, X.dim_h), 1e-9)
+        X._cache["commutant"] = _commutant(ops, centre)
     null = X._cache["commutant"]
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(null.shape[0])
-    # kernel vectors as contiguous columns: the basis eigh returns inside a
-    # degenerate eigenvalue of S, and so every pole later maximized over a
-    # block, follows the last bits of this product
-    S = np.zeros((nm, nm))
-    S[np.triu_indices(nm)] = np.ascontiguousarray(null.T) @ coeffs
-    S = S + S.T - np.diag(np.diag(S))
-    S = 0.5 * (S + S.T)
+    R = np.zeros((nm, nm))
+    R[np.triu_indices(nm)] = np.random.default_rng(seed).standard_normal(nm * (nm + 1) // 2)
+    S = np.tensordot(np.tensordot(null, R + np.triu(R, 1).T, axes=2), null, axes=1)
     vals, vecs = np.linalg.eigh(S)
-    spread = max(vals.max() - vals.min(), 1.0)
-    blocks = []
-    start = 0
-    for i in range(1, nm + 1):
-        if i == nm or vals[i] - vals[i - 1] > 1e-6 * spread:
-            blocks.append(vecs[:, start:i].T.copy())
-            start = i
+    cuts = np.flatnonzero(np.diff(vals) > 1e-6 * max(vals[-1] - vals[0], 1.0)) + 1
+    blocks = [blk.T.copy() for blk in np.split(vecs, cuts, axis=1)]
     for blk in blocks:
-        for A in ops:
-            off = np.abs((np.eye(nm) - blk.T @ blk) @ (A @ blk.T)).max()
-            if off > 1e-9:
-                raise RuntimeError("commutant block is not invariant (residual %.3e)" % off)
+        off = np.abs((np.eye(nm) - blk.T @ blk) @ ops @ blk.T).max()
+        if off > 1e-9:
+            raise RuntimeError("commutant block is not invariant (residual %.3e)" % off)
     return blocks

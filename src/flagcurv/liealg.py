@@ -323,7 +323,7 @@ def null_rows(A, tol):
     The full Vt is formed only for a wide A; a tall A gets the economy SVD
     and never its full U.  scipy's gesdd keeps the bases of
     scipy.linalg.null_space: numpy's LAPACK rotates some degenerate kernels,
-    and with them the commutant element invariant_blocks draws.
+    and with them the g2 basis and minkowski._fixed_vector.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     _, s, vt = sla.svd(A, full_matrices=A.shape[0] < A.shape[1], check_finite=False)

@@ -83,15 +83,18 @@ def test_closure_claims_pass(fixture, request):
 
 
 def test_closure_negative_control(ex1):
-    # m' rebuilt from its pieces closes under [u, .]_m, and stops closing
-    # without the m2 plane (1,0,0,-1) or (0,0,1,-1).  [u, .] takes the plane
-    # (0,1,-1,0) into h + m' without it, so dropping that one keeps the claim.
-    # Only the u claim is read: an override also retargets the v claim to
-    # m' without its [t, v] line, so that claim fails for every override
+    # m' rebuilt from its pieces passes both claims: the v claim keeps its
+    # [t, v] line, which lies outside the stored m'.  Without the m2 plane
+    # (1,0,0,-1) or (0,0,1,-1), m' stops closing under [u, .]_m; [u, .]
+    # takes the plane (0,1,-1,0) into h + m' without it, so dropping that
+    # one keeps the u claim
     X = ex1.space
     tu = flatfinder._t_bracket_line(X, ex1.flags[0].u)
     m2 = [(1, 0, 0, -1), (0, 1, -1, 0), (0, 0, 1, -1)]
-    for dropped, closed in ((None, True), (m2[0], False), (m2[1], True), (m2[2], False)):
+    full = verify_closure_claims(ex1, m_prime=_stack_rows(_tm_rows(X), tu, *[_plane_rows(X, r) for r in m2]))
+    assert [e["vector"] for e in full] == ["u", "v"]
+    assert all(e["passes"] for e in full)
+    for dropped, closed in ((m2[0], False), (m2[1], True), (m2[2], False)):
         rows = _stack_rows(_tm_rows(X), tu, *[_plane_rows(X, r) for r in m2 if r != dropped])
         u_claim = [e for e in verify_closure_claims(ex1, m_prime=rows) if e["vector"] == "u"][0]
         assert u_claim["passes"] is closed
@@ -168,8 +171,8 @@ def test_extremal_stationarity(ex2):
 
 def test_construction2_newton_reaches_the_seed0_maxima(ex2):
     # the seed-0 maxima of |u|^2 on the F-unit sphere of m1, one per norm;
-    # the best of 200 000 sampled directions comes within 7e-6 below each
-    maxima = (1.1283265692749433, 1.0046678263141606, 1.0161634950083984)
+    # the best of 200 000 sampled directions comes within 1.2e-6 below each
+    maxima = (1.1010535566062956, 0.7914870923163085, 0.8897214703545714)
     for flag, value in zip(ex2.flags, maxima):
         ext = flag.aux["extremal"]
         assert ext["iterations"] <= 25
@@ -471,9 +474,10 @@ def test_score_gradient_matches_central_differences(so6_circle, kind):
 
 def test_gradient_is_formed_only_at_accepted_steps(so6_circle, monkeypatch):
     # a random-start descent pays for one gradient at its start and one per
-    # accepted step; the line search's rejected candidates pay for none
+    # accepted step; the line search's rejected candidates pay for none.
+    # From this start the line search rejects 335 candidates
     X, F = so6_circle
-    u = np.random.default_rng(0).standard_normal(X.dim_m)
+    u = np.random.default_rng(4).standard_normal(X.dim_m)
     u /= F.value(u)
     score, v, parts = _flatness_score(X, F, u)
     assert score > 1e-16 and parts is not None

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from flagcurv.liealg import build_lie_algebra, maximal_torus, null_rows, _quat_to_real
+from flagcurv import homspace
+from flagcurv.liealg import _TORUS_SEED, build_lie_algebra, maximal_torus, null_rows, _quat_to_real
 from flagcurv.homspace import (
     SubalgebraSpec,
     ad_rotation_speeds,
@@ -324,20 +325,103 @@ def test_commutant_kernel_is_cached_per_space(su4):
         assert np.array_equal(a, b)
 
 
-def test_commutant_system_matches_the_column_loop(su4_weighted, sp3_mixed, g2_short):
-    from flagcurv.homspace import _commutant_system
+def _column_loop_kernel(ops):
+    """The commutant of the skew stack ops by brute force: [S, A] = 0 for
+    every A over all packed symmetric S, one unit symmetric matrix per
+    column, its kernel as a Frobenius-orthonormal (k, nm, nm) stack."""
+    nm = ops.shape[1]
+    iu = np.triu_indices(nm)
+    units = np.zeros((len(iu[0]), nm, nm))
+    cols = []
+    for col, (i, j) in enumerate(zip(*iu)):
+        units[col, i, j] = units[col, j, i] = 1.0
+        cols.append(np.concatenate([(units[col] @ A - A @ units[col]).ravel() for A in ops]))
+    mats = np.tensordot(null_rows(np.stack(cols, axis=1), 1e-10), units, axes=1)
+    return np.linalg.svd(mats.reshape(len(mats), -1), full_matrices=False)[2].reshape(mats.shape)
 
-    for X in (su4_weighted, sp3_mixed, g2_short):
-        nm = X.dim_m
-        ops = [X.m_basis @ X.g.ad(h) @ X.m_basis.T for h in X.h_basis]
-        # the reference: one packed unit symmetric matrix per column
-        iu = np.triu_indices(nm)
-        ref = np.zeros((len(ops) * nm * nm, len(iu[0])))
-        for col, (i, j) in enumerate(zip(*iu)):
-            E = np.zeros((nm, nm))
-            E[i, j] = E[j, i] = 1.0
-            ref[:, col] = np.concatenate([(E @ A - A @ E).ravel() for A in ops])
-        assert _commutant_system(ops, nm).tobytes() == ref.tobytes()
+
+def _projector(basis):
+    flat = basis.reshape(len(basis), -1)
+    return flat.T @ flat
+
+
+def test_commutant_matches_the_column_loop_kernel(su4_weighted, sp3_mixed, g2_short):
+    # su(3)/S^1(-50,-51,101) turns root planes at speeds 1, 151 and 152 and
+    # fixes a line, so every lead's A^2 has the gap 1/152^2 between 0 and -1
+    spread = build_space(build_lie_algebra("su", 3), [S.circle(-50, -51, 101)])
+    for X in (su4_weighted, sp3_mixed, g2_short, spread):
+        invariant_blocks(X)
+        N = X._cache["commutant"]
+        flat = N.reshape(len(N), -1)
+        assert np.abs(flat @ flat.T - np.eye(len(N))).max() < 1e-12
+        assert np.abs(N - N.transpose(0, 2, 1)).max() < 1e-14
+        assert np.abs(_projector(N) - _projector(_column_loop_kernel(X.isotropy_ad()))).max() < 1e-12
+
+
+def _space_fixtures(request):
+    names = ("sp2_circle21", "su4_weighted", "su4_onecircle", "sp3_mixed", "so7_block5", "g2_short")
+    return [request.getfixturevalue(name) for name in names]
+
+
+def test_seeded_norm_does_not_depend_on_the_commutant_basis(request):
+    # the seeded element is the Frobenius projection of a seeded matrix, so
+    # a rotated basis or the brute-force kernel of the full system gives the
+    # same blocks and the same Q
+    from flagcurv.minkowski import make_norm
+
+    rng = np.random.default_rng(7)
+    for X in _space_fixtures(request):
+        for seed in (0, 3):
+            Q = make_norm("quartic_perturbed", {}, X, seed=seed).q
+            N = X._cache["commutant"]
+            O = np.linalg.qr(rng.standard_normal((len(N), len(N))))[0]
+            for basis in (np.tensordot(O, N, axes=1), _column_loop_kernel(X.isotropy_ad())):
+                Y = copy.copy(X)
+                Y._cache = {"isotropy_ad": X.isotropy_ad(), "commutant": basis}
+                assert np.abs(make_norm("quartic_perturbed", {}, Y, seed=seed).q - Q).max() < 1e-12
+
+
+@pytest.mark.parametrize("k, dim", [(3, 45), (4, 136)])
+def test_commutant_dimension_on_su2k(k, dim):
+    # su(2k)/su(k)xS^1: sym^2 of the trivial summand su(k)', and the
+    # Hermitian k x k matrices on k copies of C^k, (k^2 - 1) k^2 / 2 + k^2
+    g = build_lie_algebra("su", 2 * k)
+    X = build_space(g, [S.block(*range(1, k + 1)), S.circle(*([1] * k + [-1] * k))])
+    blocks = invariant_blocks(X)
+    assert len(X._cache["commutant"]) == dim == (k * k - 1) * k * k // 2 + k * k
+    assert sorted(b.shape[0] for b in blocks) == [1] * (k * k - 1) + [2 * k] * k
+
+
+def _near_degenerate_stack(delta):
+    # an abelian pair of ops turning three planes, each three times, in a
+    # random basis of R^18; the first seeded lead c turns the first two at
+    # speeds a relative delta apart, although their weights differ
+    c = np.random.default_rng(_TORUS_SEED).standard_normal(2)
+    w0 = np.array([1.0, 0.3])
+    weights = [w0, w0 + 0.9 * np.array([-c[1], c[0]]) + delta * (c @ w0) * c / (c @ c), np.array([0.2, 1.1])]
+    ops = np.zeros((2, 18, 18))
+    for k, w in enumerate(np.repeat(weights, 3, axis=0)):
+        ops[:, 2 * k, 2 * k + 1], ops[:, 2 * k + 1, 2 * k] = w, -w
+    O = np.linalg.qr(np.random.default_rng(5).standard_normal((18, 18)))[0]
+    return O @ ops @ O.T, c
+
+
+def test_commutant_merges_a_near_degenerate_gap_of_the_lead(monkeypatch):
+    for delta in (1e-6, 1e-7):
+        ops, c = _near_degenerate_stack(delta)
+        lead = np.tensordot(c, ops, axes=1)
+        vals = np.linalg.eigvalsh(lead @ lead)
+        gaps = np.diff(vals) / -vals[0]
+        assert 1e-10 < gaps[gaps > 1e-10].min() < homspace.LEAD_GAP
+        full = _column_loop_kernel(ops)
+        assert len(full) == 27
+        N = homspace._commutant(ops, np.eye(2))
+        assert np.abs(_projector(N) - _projector(full)).max() < 1e-10
+        # split at that gap, the lead mixes the two eigenspaces: the
+        # commutant comes back smaller, and its blocks would still be invariant
+        monkeypatch.setattr(homspace, "LEAD_GAP", 1e-12)
+        assert len(homspace._commutant(ops, np.eye(2))) < 27
+        monkeypatch.undo()
 
 
 def test_exp_isotropy_is_orthogonal(sp3_mixed):
