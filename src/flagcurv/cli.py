@@ -344,7 +344,8 @@ _PIECE_KEYS = {"block": "indices", "circle": "weights", "sp1_block": "index", "e
 
 
 def _build_from_spec(spec):
-    """g and G/H; a piece that fails to build is reported at its data."""
+    """g and G/H; a piece that fails to build is reported at its data, and
+    an isotropy that fails as a whole at /isotropy."""
     grp = spec["group"]
     g = build_lie_algebra(grp["family"], grp["n"])
     pieces = [(p["type"], p[_PIECE_KEYS[p["type"]]]) for p in spec["isotropy"]]
@@ -352,7 +353,7 @@ def _build_from_spec(spec):
         return g, build_space(g, pieces)
     except ValueError as exc:
         if not hasattr(exc, "piece_index"):
-            raise
+            raise SpecError("/isotropy", str(exc))
         kind = pieces[exc.piece_index][0]
         raise SpecError("/isotropy/%d/%s" % (exc.piece_index, _PIECE_KEYS[kind]), str(exc))
 

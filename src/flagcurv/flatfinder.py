@@ -115,10 +115,8 @@ def _tm_rows(X):
 
 def _t_bracket_line(X, u):
     """Span of [t, u] projected to m, for the full torus t of g."""
-    datum = X.g.root_datum()
-    ug = X.lift(u)
-    rows = [X.project_m(X.g.bracket(t, ug)) for t in datum.cartan]
-    return _orthonormal_rows(np.stack(rows), tol=1e-9)
+    rows = X.g.ad(X.g.root_datum().cartan) @ X.lift(u) @ X.m_basis.T
+    return _orthonormal_rows(rows, tol=1e-9)
 
 
 def _stack_rows(*groups):
@@ -131,12 +129,9 @@ def bracket_closure_residual(X, x, domain_rows, target_rows):
     x = np.asarray(x, dtype=float)
     x = x / np.linalg.norm(x)
     T = _orthonormal_rows(target_rows)
-    worst = 0.0
-    for w in np.atleast_2d(domain_rows):
-        b = X.bracket_m(x, w)
-        off = b - T.T @ (T @ b) if T.size else b
-        worst = max(worst, float(np.linalg.norm(off)))
-    return worst
+    B = np.atleast_2d(domain_rows) @ np.tensordot(x, X.m_bracket_tensor(), axes=1)
+    off = B - (B @ T.T) @ T if T.size else B
+    return float(np.linalg.norm(off, axis=1).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -205,11 +205,10 @@ class HomogeneousSpace:
 
     def isotropy_ad(self):
         """ad(h)|_m in m-coordinates for every row h of h_basis, as one
-        (dim_h, dim_m, dim_m) stack built once per space."""
+        (dim_h, dim_m, dim_m) stack: M @ g.ad(h_basis) @ M.T for M the
+        m_basis, formed once per space."""
         if "isotropy_ad" not in self._cache:
-            M = self.m_basis
-            ops = [M @ self.g.ad(h) @ M.T for h in self.h_basis]
-            self._cache["isotropy_ad"] = np.array(ops).reshape(self.dim_h, self.dim_m, self.dim_m)
+            self._cache["isotropy_ad"] = self.m_basis @ self.g.ad(self.h_basis) @ self.m_basis.T
         return self._cache["isotropy_ad"]
 
     def sample_isotropy(self, count, seed=0):
@@ -219,17 +218,16 @@ class HomogeneousSpace:
         isotropy directions.
         """
         rng = np.random.default_rng(seed)
-        out = []
+        xis = np.zeros((count, self.g.dim))
         nh = self.dim_h
         rt = self.t_h.shape[0]
         for k in range(count):
             if rt > 0 and k % 2 == 0:
-                xi = (rng.integers(-3, 4, size=rt) + rng.random(rt)) @ self.t_h
+                xis[k] = (rng.integers(-3, 4, size=rt) + rng.random(rt)) @ self.t_h
             else:
                 xi = rng.standard_normal(nh) @ self.h_basis
-                xi *= rng.random() * np.pi / max(np.linalg.norm(xi), 1e-12)
-            out.append(self.m_basis @ sla.expm(self.g.ad(xi)) @ self.m_basis.T)
-        return out
+                xis[k] = xi * (rng.random() * np.pi / max(np.linalg.norm(xi), 1e-12))
+        return list(self.m_basis @ sla.expm(self.g.ad(xis)) @ self.m_basis.T)
 
 
 def build_space(g, spec, name=None):
@@ -291,14 +289,14 @@ def build_space(g, spec, name=None):
         h_rows = _orthonormal_rows(np.stack(gen_rows))
     else:
         h_rows = np.zeros((0, g.dim))
+    if h_rows.shape[0] == g.dim:
+        raise ValueError("the isotropy spans all of g, so its complement m is empty")
 
-    # closure under bracket
-    for i in range(h_rows.shape[0]):
-        for j in range(i + 1, h_rows.shape[0]):
-            b = g.bracket(h_rows[i], h_rows[j])
-            res = np.linalg.norm(b - h_rows.T @ (h_rows @ b))
-            if res > 1e-8:
-                raise ValueError("not a subalgebra (closure residual %.3e)" % res)
+    # closure under bracket: column j of B[i] is [h_i, h_j]
+    B = g.ad(h_rows) @ h_rows.T
+    res = np.linalg.norm(B - h_rows.T @ (h_rows @ B), axis=1).max(initial=0.0)
+    if res > 1e-8:
+        raise ValueError("not a subalgebra (closure residual %.3e)" % res)
 
     t_on = maximal_torus(g, h_rows)
     rank_h = t_on.shape[0]
@@ -383,10 +381,9 @@ def _assemble_space(g, h_rows, rank_h, t_on, t_raw, weights, notes):
                 tm_slice = None
 
     # invariance of the complement
-    for i in range(h_rows.shape[0]):
-        res = np.abs(m_rows @ g.ad(h_rows[i]).T @ h_rows.T).max() if h_rows.size else 0.0
-        if res > 1e-8:
-            raise RuntimeError("[h, m] is not contained in m (residual %.3e)" % res)
+    res = np.abs(h_rows @ g.ad(h_rows) @ m_rows.T).max(initial=0.0)
+    if res > 1e-8:
+        raise RuntimeError("[h, m] is not contained in m (residual %.3e)" % res)
 
     space = HomogeneousSpace(
         g=g,
@@ -526,14 +523,11 @@ def _regularity(X):
         return True, report
 
     # centralizer of t_H and the normalizer of h inside it
-    ads_h = np.stack([g.ad(t) for t in X.t_h])
+    ads_h = g.ad(X.t_h)
     z_rows = null_rows(np.vstack(ads_h), 1e-9)
+    # column a holds the components of [z_a, h] off h
     P_off = np.eye(g.dim) - X.h_basis.T @ X.h_basis
-    cols = []
-    for za in z_rows:
-        img = np.concatenate([P_off @ g.bracket(za, hb) for hb in X.h_basis])
-        cols.append(img)
-    M = np.stack(cols, axis=1)
+    M = (P_off @ g.ad(z_rows) @ X.h_basis.T).reshape(len(z_rows), -1).T
     null = null_rows(M, 1e-8)
     n_rows = _orthonormal_rows(null @ z_rows) if null.shape[0] else np.zeros((0, g.dim))
     # t_H is central in the normalizer, so every maximal torus of it
@@ -554,7 +548,7 @@ def _regularity(X):
 
     g_planes = []
     if regular:
-        g_planes, _ = torus_blocks(np.stack([g.ad(t) for t in t_g]), np.eye(g.dim))
+        g_planes, _ = torus_blocks(g.ad(t_g), np.eye(g.dim))
         if any(p.shape[0] != 2 for p in g_planes):
             raise RuntimeError("torus refinement left a block that is not a plane")
     matching = []
@@ -593,23 +587,21 @@ def isotropy_invariant_decomposition(X):
     summands are m-coordinate row bases, the zero summand first, the rest in
     ascending signature order.
     """
-    g = X.g
     rt = X.t_h_raw.shape[0]
     nm = X.dim_m
     if rt == 0:
         return InvariantDecomposition([np.eye(nm)], [tuple([0] * 0)], ["m0"])
 
-    ops = np.stack([X.m_basis @ g.ad(t) @ X.m_basis.T for t in X.t_h_raw])
+    ops = X.m_basis @ X.g.ad(X.t_h_raw) @ X.m_basis.T
     rotating, zero_rows = torus_blocks(ops, np.eye(nm))
     entries = []
     for blk in rotating:
         # the lead separates distinct signatures, so on the block every op is
         # a multiple of one complex structure: the plane of a row and its
         # image is invariant, and the speeds measured on it are coherent
-        x = blk[0]
-        y = max((A @ x for A in ops), key=np.linalg.norm)
-        y = y / np.linalg.norm(y)
-        entries.append((np.array([float(y @ A @ x) for A in ops]), blk))
+        images = ops @ blk[0]
+        y = images[np.argmax(np.linalg.norm(images, axis=1))]
+        entries.append((images @ y / np.linalg.norm(y), blk))
 
     # integer signatures; weights from lattice-backed generators are already
     # integral, otherwise rescale globally by the smallest nonzero speed
@@ -730,8 +722,8 @@ def invariant_blocks(X, seed=0):
         return [np.eye(nm)]
     ops = X.isotropy_ad()
     if "commutant" not in X._cache:
-        brackets = np.tensordot(np.tensordot(X.h_basis, X.g.structure_constants, axes=1), X.h_basis, axes=(1, 1))
-        centre = null_rows(np.tensordot(X.h_basis, brackets, axes=(1, 1)).reshape(-1, X.dim_h), 1e-9)
+        # the h-coordinates of [h_a, h_b] for each a, against b
+        centre = null_rows((X.h_basis @ X.g.ad(X.h_basis) @ X.h_basis.T).reshape(-1, X.dim_h), 1e-9)
         X._cache["commutant"] = _commutant(ops, centre)
     null = X._cache["commutant"]
     R = np.zeros((nm, nm))

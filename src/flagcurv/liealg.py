@@ -220,9 +220,15 @@ class LieAlgebra:
         return np.einsum("ijk,i,j->k", self.structure_constants, x, y)
 
     def ad(self, x):
-        """Matrix of ad(x) = [x, .] acting on coordinates."""
+        """Matrix of ad(x) = [x, .] acting on coordinates.
+
+        x may also be a (k, dim) stack of rows; the result is then the
+        (k, dim, dim) stack of their matrices, equal entry for entry to the
+        single-row calls, so the brackets among rows A and B are
+        ad(A) @ B.T.
+        """
         x = np.asarray(x, dtype=float)
-        return np.einsum("ijl,i->lj", self.structure_constants, x)
+        return np.einsum("ijl,...i->...lj", self.structure_constants, x)
 
     def to_matrix(self, x):
         return np.einsum("i,ijk->jk", np.asarray(x, dtype=float), self.basis)
@@ -445,8 +451,8 @@ class RootDatum:
 
     def squared_lengths(self):
         """Squared root lengths in the metric dual to the invariant form."""
-        cart = _orthonormal_rows(self.cartan)
-        vals = np.array([[self.root_value(k, t) for t in cart] for k in range(self.n_pairs)])
+        ads = self.algebra.ad(_orthonormal_rows(self.cartan))
+        vals = np.einsum("kd,mde,ke->km", self.planes[:, :, 1], ads, self.planes[:, :, 0])
         return (vals ** 2).sum(axis=1)
 
 
@@ -533,10 +539,8 @@ def root_decomposition(L, cartan, lattice=None):
     """
     cartan = np.atleast_2d(np.asarray(cartan, dtype=float))
     r = cartan.shape[0]
-    for i in range(r):
-        for j in range(i + 1, r):
-            if np.linalg.norm(L.bracket(cartan[i], cartan[j])) > 1e-8:
-                raise ValueError("cartan subspace is not abelian")
+    if np.linalg.norm(L.ad(cartan) @ cartan.T, axis=1).max(initial=0.0) > 1e-8:
+        raise ValueError("cartan subspace is not abelian")
     cart_on = _orthonormal_rows(cartan)
     if cart_on.shape[0] != r:
         raise ValueError("cartan basis is not linearly independent")
@@ -547,7 +551,7 @@ def root_decomposition(L, cartan, lattice=None):
         )
 
     rows = cart_on if lattice is None else np.atleast_2d(np.asarray(lattice, dtype=float))
-    ads = np.stack([L.ad(t) for t in rows])
+    ads = L.ad(rows)
     rotating, zero_space = torus_blocks(ads, np.eye(L.dim))
     if any(blk.shape[0] != 2 for blk in rotating):
         raise RuntimeError("a torus block of %s is not a root plane" % L.family)
@@ -634,7 +638,6 @@ def maximal_torus(L, span_rows):
         x = np.random.default_rng(_TORUS_SEED).standard_normal(len(rows)) @ rows
         x /= np.linalg.norm(x)
         torus = null_rows(rows @ L.ad(x) @ rows.T, 1e-9) @ rows
-    brackets = np.einsum("ajk,bj->abk", np.tensordot(torus, L.structure_constants, axes=1), torus)
-    if np.abs(brackets).max(initial=0.0) > 1e-8:
+    if np.abs(L.ad(torus) @ torus.T).max(initial=0.0) > 1e-8:
         raise RuntimeError("the centralizer of a generic element is not abelian")
     return torus

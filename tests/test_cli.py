@@ -66,6 +66,18 @@ def test_non_list_isotropy_is_rejected_with_a_pointer(tmp_path, capsys):
     assert err.startswith("input error at /isotropy:") and "Traceback" not in err
 
 
+def test_isotropy_that_is_all_of_g_is_rejected_with_a_pointer(tmp_path, capsys):
+    doc = {
+        "group": {"family": "su", "n": 3},
+        "isotropy": [{"type": "block", "indices": [1, 2, 3]}],
+        "task": {"name": "check-space"},
+    }
+    assert main(["check-space", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error at /isotropy: ") and "complement m is empty" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("samples", [0, 7])
 @pytest.mark.parametrize(
     "task",

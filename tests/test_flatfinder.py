@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flagcurv.homspace import build_space, SubalgebraSpec
-from flagcurv.liealg import build_lie_algebra, _quat_to_real
+from flagcurv.liealg import build_lie_algebra, _orthonormal_rows, _quat_to_real
 from flagcurv.minkowski import check_norm_properties, make_norm
 from flagcurv.curvature import _flatness_vectors, flag_curvature
 from flagcurv import numdiff
@@ -99,6 +99,24 @@ def test_closure_negative_control(ex1):
         u_claim = [e for e in verify_closure_claims(ex1, m_prime=rows) if e["vector"] == "u"][0]
         assert u_claim["passes"] is closed
         assert closed or u_claim["residual"] > 0.5
+
+
+def test_closure_products_match_the_per_row_brackets(ex1):
+    # the batched [t, u] line and closure residual against one bracket per
+    # row: they sum in another order, so they agree to rounding
+    X = ex1.space
+    rng = np.random.default_rng(6)
+    u = rng.standard_normal(X.dim_m)
+    rows = np.stack([X.project_m(X.g.bracket(t, X.lift(u))) for t in X.g.root_datum().cartan])
+    tu, ref = flatfinder._t_bracket_line(X, u), _orthonormal_rows(rows, tol=1e-9)
+    assert tu.shape == ref.shape
+    assert np.abs(tu.T @ tu - ref.T @ ref).max() < 1e-12
+    domain, target = rng.standard_normal((5, X.dim_m)), rng.standard_normal((4, X.dim_m))
+    T = _orthonormal_rows(target)
+    x = u / np.linalg.norm(u)
+    worst = max(np.linalg.norm(b - T.T @ (T @ b)) for b in (X.bracket_m(x, w) for w in domain))
+    assert worst > 0.1
+    assert abs(flatfinder.bracket_closure_residual(X, u, domain, target) - worst) < 1e-12 * worst
 
 
 def test_narrow_target_for_the_second_vector_fails(ex2):

@@ -68,6 +68,18 @@ def test_jacobi_on_random_triples(su4):
     assert worst < 1e-12
 
 
+@pytest.mark.parametrize("family,n", [("su", 4), ("sp", 3), ("so", 6), ("g2", 0)])
+def test_ad_of_a_stack_is_the_stack_of_single_rows(family, n):
+    # entry for entry, so root data, isotropy operators and seeded norms
+    # built from one ad on a stack repeat those built row by row
+    L = build_lie_algebra(family, n)
+    rows = np.vstack([np.eye(L.dim), np.random.default_rng(1).standard_normal((5, L.dim))])
+    ads = L.ad(rows)
+    assert ads.shape == (len(rows), L.dim, L.dim)
+    assert np.array_equal(ads, np.stack([L.ad(r) for r in rows]))
+    assert L.ad(rows[:0]).shape == (0, L.dim, L.dim)
+
+
 def test_bracket_matches_matrix_commutator(sp2):
     # independent oracle: commutator of the realized matrices
     rng = np.random.default_rng(3)
@@ -276,7 +288,7 @@ def test_root_planes_orthonormal(su4):
 def test_root_decomposition_rejects_nonabelian(su4):
     datum = su4.root_datum()
     bad = np.vstack([datum.cartan[:2], datum.planes[0, :, 0][None, :]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cartan subspace is not abelian"):
         root_decomposition(su4, bad)
 
 
