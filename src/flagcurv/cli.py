@@ -9,7 +9,7 @@ stdout, diagnostics on stderr):
     flagcurv verify-example <file> --id K
     flagcurv speeds <file>
 
-Exit codes: 0 success, 1 a verify-example assertion failed, 2 input error.
+Exit codes: 0 success, 1 a verify-example assertion failed, 2 input error or out of memory.
 Reports are byte-stable for a fixed input and seed: keys are sorted and
 floats are printed with 17 significant digits, and every report embeds the
 effective configuration it ran with.
@@ -424,7 +424,10 @@ def run(spec):
                 iota = diag_element(g, task["involution"])
             except ValueError as exc:
                 raise SpecError("/task/involution/diag", str(exc))
-            fps = fixed_point_space(X, iota)
+            try:
+                fps = fixed_point_space(X, iota)
+            except ValueError as exc:
+                raise SpecError("/task/involution", str(exc))
             payload["fixed_point_space"] = {
                 "total_dim": fps.g.dim,
                 "isotropy_dim": fps.dim_h,
@@ -569,6 +572,9 @@ def main(argv=None):
         return 2
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: out of memory: %s" % exc, file=sys.stderr)
         return 2
     sys.stdout.write(canonical_json(report))
     return code

@@ -165,9 +165,6 @@ class HomogeneousSpace:
             self._cache["bg"] = np.einsum("abe,ia,jb->ije", c, M, M)
         return self._cache["bg"]
 
-    def bracket_m(self, u, v):
-        return np.einsum("ijk,i,j->k", self.m_bracket_tensor(), u, v)
-
     def bracket_full(self, u, v):
         return np.einsum("ije,i,j->e", self.full_bracket_tensor(), u, v)
 
@@ -463,9 +460,13 @@ def fixed_point_space(X, iota):
     R = X.ad_matrix(iota)
     pres = np.abs(X.m_basis @ R.T @ X.h_basis.T).max() if X.dim_h else 0.0
     if pres > 1e-8:
-        raise ValueError("element does not normalize the isotropy (residual %.3e)" % pres)
+        raise ValueError("element does not normalize the isotropy, so its fixed algebra c(iota) "
+                         "has no fixed-point space in G/H (residual %.3e)" % pres)
 
     hi_rows = _intersect_spans(c_rows, X.h_basis) if X.dim_h else np.zeros((0, g.dim))
+    if len(hi_rows) == len(c_rows):
+        raise ValueError("the fixed algebra c(iota) (dimension %d) lies in the isotropy, so "
+                         "the fixed-point space is a point" % len(c_rows))
 
     mats = [g.to_matrix(r) for r in c_rows]
     Lc = subalgebra_from_matrices(g, mats, family="fix(%s)" % g.family)

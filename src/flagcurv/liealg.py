@@ -150,18 +150,15 @@ def octonion_structure():
 
 def _g2_matrices():
     # Derivations of the octonion cross product: D(x X y) = Dx X y + x X Dy.
-    f = octonion_structure()
-    rows = []
-    for i in range(7):
-        for j in range(i + 1, 7):
-            for k in range(7):
-                row = np.zeros((7, 7))
-                for m in range(7):
-                    row[k, m] += f[i, j, m]
-                    row[m, i] -= f[m, j, k]
-                    row[m, j] -= f[i, m, k]
-                rows.append(row.ravel())
-    null = null_rows(np.stack(rows), 1e-10)
+    # Row (i, j, k) holds the coefficients on D of the k-th coordinate of
+    # D(e_i x e_j) - De_i x e_j - e_i x De_j; entries are sums of +-1.
+    f, eye = octonion_structure(), np.eye(7)
+    system = (
+        np.einsum("ijm,kp->ijkpm", f, eye)
+        - np.einsum("mjk,ip->ijkmp", f, eye)
+        - np.einsum("imk,jp->ijkmp", f, eye)
+    )
+    null = null_rows(system[np.triu_indices(7, 1)].reshape(147, 49), 1e-10)
     if null.shape[0] != 14:
         raise RuntimeError("octonion derivation solve did not give a 14-dimensional algebra")
     return [row.reshape(7, 7) for row in null]
@@ -339,7 +336,12 @@ def null_rows(A, tol):
 
 
 def _from_matrices(family, n, mats, kappa, notes=None):
-    """Assemble a LieAlgebra from spanning matrices (must close under bracket)."""
+    """Assemble a LieAlgebra from spanning matrices (must close under bracket).
+
+    c_abc = -kappa tr([B_a, B_b] B_c) is formed one a-slice at a time: [B_a, .]
+    by one batched product, its coordinates and closure residual by one gemm
+    each, so peak memory is O(dim N^2) for N x N matrices, not O(dim^2 N^2).
+    """
     M = np.stack([np.asarray(m, dtype=float) for m in mats])
     dim = len(mats)
     gram = -kappa * np.einsum("aij,bji->ab", M, M)
@@ -348,10 +350,13 @@ def _from_matrices(family, n, mats, kappa, notes=None):
     except np.linalg.LinAlgError as exc:
         raise ValueError("independent generating matrices required") from exc
     basis = np.linalg.solve(L, M.reshape(dim, -1)).reshape(M.shape)
-    comm = np.einsum("aij,bjk->abik", basis, basis) - np.einsum("bij,ajk->abik", basis, basis)
-    c = -kappa * np.einsum("abik,cki->abc", comm, basis)
-    recon = np.einsum("abc,cik->abik", c, basis)
-    closure = np.abs(comm - recon).max()
+    flat, flat_t = basis.reshape(dim, -1), basis.transpose(0, 2, 1).reshape(dim, -1)
+    c = np.empty((dim, dim, dim))
+    closure = 0.0
+    for a in range(dim):
+        comm = (basis[a] @ basis - basis @ basis[a]).reshape(dim, -1)
+        c[a] = -kappa * (comm @ flat_t.T)
+        closure = max(closure, np.abs(comm - c[a] @ flat).max())
     if closure > 1e-8:
         raise ValueError("matrices do not close under bracket (residual %.3e)" % closure)
     bi = -kappa * np.einsum("aij,bji->ab", basis, basis)
@@ -448,12 +453,6 @@ class RootDatum:
 
     def label(self, k):
         return format_root(self.roots[k], symbol="e" if self.algebra.family != "g2" else "a")
-
-    def squared_lengths(self):
-        """Squared root lengths in the metric dual to the invariant form."""
-        ads = self.algebra.ad(_orthonormal_rows(self.cartan))
-        vals = np.einsum("kd,mde,ke->km", self.planes[:, :, 1], ads, self.planes[:, :, 0])
-        return (vals ** 2).sum(axis=1)
 
 
 def format_root(coeffs, symbol="e"):

@@ -516,6 +516,8 @@ def check_norm_properties(F, X, samples=200, seed=0):
     under make_norm's key, convexity_lower_bound when proven and
     convexity_min_eigenvalue when sampled (as make_norm samples it when seed
     is the norm's seed); a norm it rejects raises its NormValidationError.
+    A bound make_norm proved is read from F.meta, which transform drops, as
+    the scan would prove it again at any seed.
     Homogeneity and reversibility hold by construction; their residuals are
     sampled at `samples` unit directions."""
     rng = np.random.default_rng(seed)
@@ -525,7 +527,8 @@ def check_norm_properties(F, X, samples=200, seed=0):
     vals = F.value_many(V)
     forms = F._quartic_forms[1] if F.kind == "quartic_perturbed" else [F.q]
     vectors = [F.v0] if F.kind == "alpha_beta" else []
-    margin, worst = _convexity_scan(F, seed=seed + 101)
+    proven = F.meta.get(_CONVEXITY_KEYS[0])
+    margin, worst = (proven, None) if proven is not None else _convexity_scan(F, seed=seed + 101)
     return {
         "homogeneity_residual": float(np.abs(F.value_many(V * lam[:, None]) - lam * vals).max()),
         "reversibility_residual": float(np.abs(F.value_many(-V) - vals).max()),

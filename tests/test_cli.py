@@ -497,6 +497,50 @@ def test_check_space_with_involution(tmp_path, capsys):
     assert fps["notes"]["codimension_even"] is True
 
 
+E12_SU3 = np.zeros((6, 6))  # e_12 - e_21 of su(3) in its real picture
+E12_SU3[0, 1] = E12_SU3[3, 4] = 1.0
+E12_SU3[1, 0] = E12_SU3[4, 3] = -1.0
+
+
+@pytest.mark.parametrize(
+    "isotropy,diag,message",
+    [
+        # the centralizer of a generic torus element is the torus, all of h
+        ([{"type": "circle", "weights": [1, -1, 0]}, {"type": "circle", "weights": [0, 1, -1]}],
+         [[0.6, 0.8], [0, 1], 1], "the fixed algebra c(iota) (dimension 2) lies in the isotropy"),
+        # Ad(diag(1, i, 1)) turns e_12 - e_21 into i(e_12 + e_21), outside h
+        ([{"type": "explicit", "matrices": [E12_SU3.tolist()]}], [1, [0, 1], 1],
+         "element does not normalize the isotropy, so its fixed algebra c(iota)"),
+    ],
+    ids=["fixed-algebra-in-h", "not-normalizing"],
+)
+def test_fixed_point_failures_are_rejected_at_the_involution(tmp_path, capsys, isotropy, diag, message):
+    doc = {
+        "group": {"family": "su", "n": 3},
+        "isotropy": isotropy,
+        "metric": {"kind": "riemannian"},
+        "task": {"name": "check-space", "involution": {"diag": diag}},
+    }
+    assert main(["check-space", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error at /task/involution: " + message), captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_out_of_memory_exits_2_without_a_traceback(tmp_path, capsys, monkeypatch):
+    from flagcurv import minkowski
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 22.1 GiB for an array with shape (33124, 299, 299)")
+
+    monkeypatch.setattr(minkowski, "invariant_blocks", exhausted)
+    doc = {"group": {"family": "su", "n": 3}, "isotropy": SU3_CIRCLE, "task": {"name": "check-space"}}
+    assert main(["check-space", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory: Unable to allocate 22.1 GiB for an array with shape (33124, 299, 299)\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "group,isotropy,u,v,message",
     [

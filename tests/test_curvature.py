@@ -236,7 +236,8 @@ def test_full_tensor_oracle_on_invariant_metric(sp2):
     for _ in range(5):
         x, y = rng.standard_normal((2, X.dim_m))
         k1 = _full_tensor_sectional(X, np.eye(X.dim_m), x, y)
-        k2 = 0.25 * np.linalg.norm(X.bracket_m(x, y)) ** 2 / ((x @ x) * (y @ y) - (x @ y) ** 2)
+        xy = np.einsum("ijk,i,j->k", X.m_bracket_tensor(), x, y)
+        k2 = 0.25 * np.linalg.norm(xy) ** 2 / ((x @ x) * (y @ y) - (x @ y) ** 2)
         assert abs(k1 - k2) < 1e-12
 
 

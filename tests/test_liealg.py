@@ -3,12 +3,15 @@ import pytest
 
 from flagcurv.liealg import (
     UnsupportedAlgebraError,
+    _g2_matrices,
     build_lie_algebra,
     bracket,
     format_root,
     maximal_torus,
     null_rows,
+    octonion_structure,
     root_decomposition,
+    subalgebra_from_matrices,
     torus_blocks,
 )
 
@@ -91,6 +94,56 @@ def test_bracket_matches_matrix_commutator(sp2):
     assert worst < 1e-12
 
 
+def _dense_structure_constants(L):
+    """The all-pairs formula: every commutator [B_a, B_b] at once, then
+    c_abc = -kappa tr([B_a, B_b] B_c), in dim^2 N^2 memory."""
+    B = L.basis
+    comm = np.einsum("aij,bjk->abik", B, B) - np.einsum("bij,ajk->abik", B, B)
+    return -L.kappa * np.einsum("abik,cki->abc", comm, B)
+
+
+@pytest.mark.parametrize(
+    "family,n,exact",
+    [("su", 3, False), ("su", 4, False), ("sp", 2, True), ("sp", 3, True),
+     ("so", 6, True), ("so", 7, True), ("g2", 0, False)],
+)
+def test_structure_constants_match_the_dense_formula(family, n, exact):
+    # the a-slices sum in another order; on sp and so every entry is a sum
+    # of few exact terms, so the two agree bit for bit there
+    L = build_lie_algebra(family, n)
+    ref = _dense_structure_constants(L)
+    assert np.abs(L.structure_constants - ref).max() <= 4.5e-16
+    if exact:
+        assert np.array_equal(L.structure_constants, ref)
+
+
+def test_matrices_that_do_not_close_are_rejected():
+    # e_12, e_13, e_14, e_23 of so(4): [e_13, e_14] lies along e_34.  Only
+    # the a-slice of e_23 closes, so each order has a failing slice at one end
+    so4 = build_lie_algebra("so", 4)
+    for order in ([0, 1, 2, 3], [3, 0, 1, 2]):
+        with pytest.raises(ValueError, match="do not close under bracket"):
+            subalgebra_from_matrices(so4, list(so4.basis[order]))
+    assert subalgebra_from_matrices(so4, list(so4.basis[[0, 1, 3]])).dim == 3
+
+
+def test_g2_generators_match_the_derivation_loop():
+    # the derivation system row by row, as a triple loop over (i < j, k)
+    f = octonion_structure()
+    rows = []
+    for i in range(7):
+        for j in range(i + 1, 7):
+            for k in range(7):
+                row = np.zeros((7, 7))
+                for m in range(7):
+                    row[k, m] += f[i, j, m]
+                    row[m, i] -= f[m, j, k]
+                    row[m, j] -= f[i, m, k]
+                rows.append(row.ravel())
+    ref = [row.reshape(7, 7) for row in null_rows(np.stack(rows), 1e-10)]
+    assert np.array_equal(np.stack(_g2_matrices()), np.stack(ref))
+
+
 def test_sp2_root_set(sp2):
     datum = sp2.root_datum()
     labels = {datum.label(k) for k in range(datum.n_pairs)}
@@ -159,7 +212,10 @@ def test_null_rows_cutoff():
 def test_g2_root_structure(g2):
     datum = g2.root_datum()
     assert datum.n_pairs == 6
-    lengths = datum.squared_lengths()
+    # squared root lengths in the metric dual to the invariant form
+    ads = g2.ad(datum.cartan)
+    vals = np.einsum("kd,mde,ke->km", datum.planes[:, :, 1], ads, datum.planes[:, :, 0])
+    lengths = (vals ** 2).sum(axis=1)
     lo, hi = lengths.min(), lengths.max()
     assert abs(hi / lo - 3.0) < 1e-9
     # short and long roots come in threes

@@ -136,6 +136,29 @@ def test_transform_drops_the_convexity_key(sp2_circle21, quartic):
     assert rep["convexity_lower_bound"] < F.meta["convexity_lower_bound"]
 
 
+def test_properties_report_reads_a_proven_bound_and_rescans_the_rest(sp2_circle21, quartic, monkeypatch):
+    from flagcurv import minkowski
+    from flagcurv.minkowski import _convexity_scan
+
+    sampled = make_norm("quartic_perturbed", {"epsilon": -0.05}, sp2_circle21, seed=3)
+    scanned = []
+
+    def recorded(F, **kwargs):
+        scanned.append(F)
+        return _convexity_scan(F, **kwargs)
+
+    monkeypatch.setattr(minkowski, "_convexity_scan", recorded)
+    rep = check_norm_properties(quartic, sp2_circle21, samples=20, seed=5)
+    assert scanned == [] and rep["convexity_lower_bound"] == quartic.meta["convexity_lower_bound"]
+    # a pulled-back norm carries no bound, and the sampled key depends on the seed
+    Ft = quartic.transform(np.diag([0.5] + [1.0] * (quartic.dim - 1)))
+    rep = check_norm_properties(Ft, sp2_circle21, samples=20, seed=5)
+    assert len(scanned) == 1 and scanned[0] is Ft
+    assert rep["convexity_lower_bound"] == _convexity_scan(Ft)[0]
+    check_norm_properties(sampled, sp2_circle21, samples=20, seed=5)
+    assert len(scanned) == 2 and scanned[1] is sampled
+
+
 def test_gram_euler_identity(quartic):
     rng = np.random.default_rng(5)
     for _ in range(10):
