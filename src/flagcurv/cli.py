@@ -441,7 +441,8 @@ def run(spec):
         try:
             triples = ad_rotation_speeds(X, task["weights"])
         except ValueError as exc:
-            raise SpecError("/task/weights", str(exc))
+            # a basis that is not adapted fails before the weights are read
+            raise SpecError("/task/weights" if X.adapted else "/isotropy", str(exc))
         report["payload"] = {
             "weights": task["weights"],
             "speeds": [{"root": list(r), "label": lab, "speed": s} for (r, lab, s) in triples],

@@ -1,9 +1,9 @@
 """Reductive homogeneous spaces G/H from subalgebra specifications.
 
 A space stores the orthogonal splitting g = h + m for the invariant form,
-a maximal torus of h with its integer weight data when available, and an
-m-basis adapted to the root planes of g whenever the isotropy is spanned by
-torus directions and whole root planes.
+a maximal torus of h (the lattice generators of its pieces when they span
+one), and an m-basis adapted to the root planes of g whenever the
+isotropy is spanned by torus directions and whole root planes.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def _block_indices(L, indices):
 def _circle_generator(L, weights):
     """Torus generator of the circle with the given integer weights.
 
-    Returns (matrix, weight vector, note).  su weights with nonzero sum are
-    projected to the traceless part; the shift is recorded in the note.
+    Returns (matrix, note).  su weights with nonzero sum are projected to the
+    traceless part; the shift is recorded in the note.
     """
     fam, n = L.family, L.n
     weights = np.asarray(weights, dtype=float)
@@ -95,7 +95,7 @@ def _circle_generator(L, weights):
     note = None
     if fam == "su" and w.sum() != 0:
         note = "circle weights sum to %d; projected to the traceless part" % int(w.sum())
-    return _torus_matrix(fam, n, w), w, note
+    return _torus_matrix(fam, n, w), note
 
 
 def _intersect_spans(A, B, tol=1e-9):
@@ -126,7 +126,6 @@ class HomogeneousSpace:
     rank_h: int
     t_h: np.ndarray
     t_h_raw: np.ndarray
-    t_h_weights: list
     plane_slices: dict
     tm_slice: tuple
     adapted: bool
@@ -196,10 +195,6 @@ class HomogeneousSpace:
 
     # -- group action ----------------------------------------------------------
 
-    def ad_matrix(self, elt):
-        """Ad(elt) acting on algebra coordinates, for a realized group matrix."""
-        return _ad_matrix(self.g, elt)
-
     def isotropy_ad(self):
         """ad(h)|_m in m-coordinates for every row h of h_basis, as one
         (dim_h, dim_m, dim_m) stack: M @ g.ad(h_basis) @ M.T for M the
@@ -243,7 +238,6 @@ def build_space(g, spec, name=None):
         notes["name"] = name
     gen_rows = []
     torus_rows = []
-    torus_weights = []
     has_explicit = False
     for index, piece in enumerate(pieces):
         try:
@@ -251,13 +245,12 @@ def build_space(g, spec, name=None):
             if kind == "block":
                 idx = _block_indices(g, piece[1])
                 gen_rows.extend(g.from_matrix(m) for m in _block_generators(g.family, g.n, idx))
-                torus_rows.extend(_block_torus(g, idx, torus_weights))
+                torus_rows.extend(_block_torus(g, idx))
             elif kind == "circle":
-                mat, w, note = _circle_generator(g, piece[1])
+                mat, note = _circle_generator(g, piece[1])
                 row = g.from_matrix(mat)
                 gen_rows.append(row)
                 torus_rows.append(row)
-                torus_weights.append(np.asarray(w, dtype=int))
                 if note:
                     notes.setdefault("circle", []).append(note)
             elif kind == "sp1_block":
@@ -269,7 +262,6 @@ def build_space(g, spec, name=None):
                 rows = [g.from_matrix(m) for m in _unit_generators("sp", g.n, i, i)]
                 gen_rows.extend(rows)
                 torus_rows.append(rows[0])  # the i-unit direction
-                torus_weights.append(np.eye(g.n, dtype=int)[i])
             elif kind == "explicit":
                 has_explicit = True
                 mats = [np.asarray(m, dtype=float) for m in piece[1]]
@@ -301,88 +293,69 @@ def build_space(g, spec, name=None):
     # the lattice generators of the pieces, when they span a maximal torus of h
     t_pieces = _orthonormal_rows(np.stack(torus_rows)) if torus_rows and not has_explicit else None
     if t_pieces is not None and t_pieces.shape[0] == rank_h:
-        t_on, t_raw, weights = t_pieces, np.stack(torus_rows), list(torus_weights)
+        t_on, t_raw = t_pieces, np.stack(torus_rows)
     else:
-        t_raw, weights = t_on.copy(), None
-
-    space = _assemble_space(g, h_rows, rank_h, t_on, t_raw, weights, notes)
-    return space
+        t_raw = t_on.copy()
+    return _assemble_space(g, h_rows, rank_h, t_on, t_raw, notes)
 
 
-def _block_torus(g, idx, weights_out):
-    """Torus generators of a block piece on the 0-based coordinates idx,
-    appending their weight vectors."""
+def _block_torus(g, idx):
+    """Torus generators of a block piece on the 0-based coordinates idx."""
     fam, n = g.family, g.n
-    weights = []
     if fam == "su":
-        for i, j in zip(idx, idx[1:]):
-            w = np.zeros(n, dtype=int)
-            w[i], w[j] = 1, -1
-            weights.append(w)
+        weights = [np.eye(n, dtype=int)[i] - np.eye(n, dtype=int)[j] for i, j in zip(idx, idx[1:])]
     elif fam == "sp":
         weights = [np.eye(n, dtype=int)[i] for i in idx]
     else:
         # so: the coordinate planes (2k, 2k+1) the block contains whole
         used = set(idx)
         weights = [np.eye(n // 2, dtype=int)[k] for k in range(n // 2) if {2 * k, 2 * k + 1} <= used]
-    weights_out.extend(weights)
     return [g.from_matrix(_torus_matrix(fam, n, w)) for w in weights]
 
 
-def _assemble_space(g, h_rows, rank_h, t_on, t_raw, weights, notes):
+def _assemble_space(g, h_rows, rank_h, t_on, t_raw, notes):
+    """The space on h_rows, with m adapted to root planes where it can be.
+
+    One rule places every root plane of the canonical torus: its projection
+    onto h vanishes (the plane lies in m), or it loses nothing to that
+    projection (the plane lies in h), or it straddles h and m.  When no
+    plane straddles, m is spanned by tm, the part of the torus orthogonal to
+    h, and the planes in m, and m_basis stacks tm and those planes in datum
+    order; plane_slices, tm_slice and adapted read that one table.
+    Otherwise m_basis is an orthonormal basis of the complement of h.
+    """
     dim = g.dim
-    P_h = h_rows.T @ h_rows if h_rows.size else np.zeros((dim, dim))
-    comp = _orthonormal_rows(np.eye(dim) - P_h, tol=1e-9)
-    if comp.shape[0] != dim - h_rows.shape[0]:
+    P_h = h_rows.T @ h_rows
+    m_rows = _orthonormal_rows(np.eye(dim) - P_h, tol=1e-9)
+    if m_rows.shape[0] != dim - h_rows.shape[0]:
         raise RuntimeError("complement dimension mismatch")
 
-    plane_slices = {}
-    tm_slice = None
-    adapted = False
-    m_rows = comp
+    plane_slices, tm_slice = {}, None
     try:
         datum = g.root_datum()
     except (ValueError, RuntimeError):
         datum = None  # derived algebras carry no canonical torus
     if datum is not None:
-        rows = []
-        t_space = np.vstack([datum.zero_space]) if len(datum.zero_space) else np.zeros((0, dim))
-        t_in_h = _intersect_spans(t_space, h_rows) if h_rows.size else np.zeros((0, dim))
-        tm = _orthonormal_rows(t_space - (t_space @ t_in_h.T) @ t_in_h, tol=1e-9) if t_space.size else t_space
-        ok = True
-        slices = {}
-        for k in range(datum.n_pairs):
-            plane = datum.planes[k]
-            in_h = np.linalg.norm(P_h @ plane)
-            if in_h < 1e-9:
-                continue
-            if np.linalg.norm(plane - P_h @ plane) > 1e-9:
-                ok = False
-                break
-        if ok:
-            rows.extend(tm)
-            tm_slice = (0, tm.shape[0])
-            pos = tm.shape[0]
-            for k in range(datum.n_pairs):
-                plane = datum.planes[k]
-                if np.linalg.norm(P_h @ plane) < 1e-9:
-                    rows.append(plane[:, 0])
-                    rows.append(plane[:, 1])
-                    slices[tuple(int(r) for r in datum.roots[k])] = (pos, 2)
-                    pos += 2
-            if rows and len(rows) == dim - h_rows.shape[0]:
-                m_rows = np.stack(rows)
-                plane_slices = slices
-                adapted = True
-            else:
-                tm_slice = None
+        proj = P_h @ datum.planes
+        in_m = np.linalg.norm(proj, axis=(1, 2)) < 1e-9
+        straddles = ~in_m & (np.linalg.norm(datum.planes - proj, axis=(1, 2)) > 1e-9)
+        if not straddles.any():
+            t_space = datum.zero_space
+            t_in_h = _intersect_spans(t_space, h_rows)
+            tm = _orthonormal_rows(t_space - (t_space @ t_in_h.T) @ t_in_h, tol=1e-9)
+            # each plane (dim, 2) gives the rows x, y
+            rows = np.vstack([tm, datum.planes[in_m].transpose(0, 2, 1).reshape(-1, dim)])
+            if len(rows) == len(m_rows):
+                m_rows, tm_slice = rows, (0, len(tm))
+                plane_slices = {tuple(root): (len(tm) + 2 * k, 2)
+                                for k, root in enumerate(datum.roots[in_m].tolist())}
 
     # invariance of the complement
     res = np.abs(h_rows @ g.ad(h_rows) @ m_rows.T).max(initial=0.0)
     if res > 1e-8:
         raise RuntimeError("[h, m] is not contained in m (residual %.3e)" % res)
 
-    space = HomogeneousSpace(
+    return HomogeneousSpace(
         g=g,
         h_basis=h_rows,
         m_basis=m_rows,
@@ -390,13 +363,11 @@ def _assemble_space(g, h_rows, rank_h, t_on, t_raw, weights, notes):
         rank_h=rank_h,
         t_h=t_on,
         t_h_raw=t_raw,
-        t_h_weights=weights,
         plane_slices=plane_slices,
         tm_slice=tm_slice,
-        adapted=adapted,
+        adapted=bool(plane_slices),
         notes=notes,
     )
-    return space
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +428,7 @@ def fixed_point_space(X, iota):
     """
     g = X.g
     c_rows = centralizer_subalgebra(g, iota)
-    R = X.ad_matrix(iota)
+    R = _ad_matrix(g, iota)
     pres = np.abs(X.m_basis @ R.T @ X.h_basis.T).max() if X.dim_h else 0.0
     if pres > 1e-8:
         raise ValueError("element does not normalize the isotropy, so its fixed algebra c(iota) "
@@ -501,11 +472,15 @@ def is_regular_subalgebra(X):
     Equivalent formulation used here: h is regular exactly when some
     maximal torus of g normalizes it.  The normalizer of h inside the
     centralizer of t_H is a subalgebra containing t_H; h is regular iff
-    that normalizer has full rank.  When it does, a maximal torus of the
+    that normalizer has full rank.  When it does, a maximal torus t_g of the
     normalizer aligns the root planes of g with those of h, and the report
     lists each root of h on t_H (h_root) with whether some root plane of g
     is its h-plane (matched); the root of g on a matched plane restricts to
-    h_root itself.  Returns (verdict, report).
+    h_root itself.  The rule for matched: an h-plane turns under t_H, which
+    lies in t_g, so it meets no zero weight of t_g, and roots of g have
+    multiplicity one, so it is a root plane of g exactly when ad(t_g) keeps
+    it.  An unmatched plane downgrades the verdict.  Returns (verdict,
+    report).
     The pair is computed once per space; each call gets its own copy of the
     report.
     """
@@ -517,11 +492,8 @@ def is_regular_subalgebra(X):
 
 def _regularity(X):
     g = X.g
-    report = {}
     if X.dim_h == 0:
-        report["matching"] = []
-        report["vacuous"] = True
-        return True, report
+        return True, {"matching": [], "vacuous": True}
 
     # centralizer of t_H and the normalizer of h inside it
     ads_h = g.ad(X.t_h)
@@ -535,32 +507,21 @@ def _regularity(X):
     # contains t_H
     t_g = maximal_torus(g, n_rows)
     regular = t_g.shape[0] == g.rank
-    report["normalizer_rank"] = int(t_g.shape[0])
-    report["rank_required"] = int(g.rank)
+    report = {"normalizer_rank": int(t_g.shape[0]), "rank_required": int(g.rank)}
 
     h_planes, _ = torus_blocks(ads_h, _orthonormal_rows(X.h_basis))
     if any(p.shape[0] != 2 for p in h_planes):
         raise RuntimeError("torus refinement left a block that is not a plane")
-    if not h_planes:
-        report["matching"] = []
-        report["vacuous"] = True
-        return regular, report
-    report["vacuous"] = False
+    report["vacuous"] = not h_planes
 
-    g_planes = []
-    if regular:
-        g_planes, _ = torus_blocks(g.ad(t_g), np.eye(g.dim))
-        if any(p.shape[0] != 2 for p in g_planes):
-            raise RuntimeError("torus refinement left a block that is not a plane")
-    matching = []
-    for hp in h_planes:
-        beta = (hp[1] @ ads_h @ hp[0]).tolist()
-        # a root plane of g that is hp: ad(t_H) turns that one plane, so the
-        # root of g restricts to beta
-        matched = any(np.linalg.svd(hp @ gp.T, compute_uv=False).min() > 1.0 - 1e-8 for gp in g_planes)
-        matching.append({"h_root": beta, "matched": matched})
-    if regular and not all(m["matched"] for m in matching):
-        regular = False
+    # an h-plane is a root plane of g exactly when ad(t_g) keeps it
+    ads_g = g.ad(t_g)
+    matching = [
+        {"h_root": (hp[1] @ ads_h @ hp[0]).tolist(),
+         "matched": regular and bool(np.abs(ads_g @ hp.T - hp.T @ (hp @ ads_g @ hp.T)).max() < 1e-8)}
+        for hp in h_planes
+    ]
+    regular = regular and all(m["matched"] for m in matching)
     report["matching"] = matching
     return regular, report
 
@@ -642,33 +603,26 @@ def isotropy_invariant_decomposition(X):
     return InvariantDecomposition(summands, signatures, labels)
 
 
-def ad_rotation_speeds(X, torus_weights, datum=None):
+def ad_rotation_speeds(X, torus_weights):
     """Integer rotation speeds of Ad of a weighted circle on the m root planes.
 
     torus_weights is an integer vector in the lattice of the canonical torus
     of g; the speed on the plane of root alpha is |alpha . w|, computed in
-    integer arithmetic.  Returns (root tuple, label, speed) triples in
-    canonical root order.
+    integer arithmetic.  Returns (root tuple, label, speed) triples for the
+    root planes of X.plane_slices, in canonical root order.  Raises
+    ValueError when the basis of m is not adapted to root planes.
     """
-    if datum is None:
-        datum = X.g.root_datum()
+    if not X.adapted:
+        raise ValueError("space basis is not adapted to root planes")
+    datum = X.g.root_datum()
     w = np.asarray(torus_weights, dtype=float)
     if np.abs(w - np.round(w)).max() > 1e-9:
         raise ValueError("torus element is outside the integer lattice")
     w = np.round(w).astype(int)
     if w.shape != (datum.lattice.shape[0],):
         raise ValueError("expected %d weights" % datum.lattice.shape[0])
-    P_h = X.h_basis.T @ X.h_basis if X.dim_h else np.zeros((X.g.dim, X.g.dim))
-    out = []
-    for k in range(datum.n_pairs):
-        plane = datum.planes[k]
-        if np.linalg.norm(P_h @ plane) > 1e-9:
-            if np.linalg.norm(plane - P_h @ plane) > 1e-9:
-                raise ValueError("root plane %s straddles the splitting" % (tuple(datum.roots[k]),))
-            continue
-        speed = int(abs(int(datum.roots[k] @ w)))
-        out.append((tuple(int(r) for r in datum.roots[k]), datum.label(k), speed))
-    return out
+    return [(root, datum.label(k), abs(int(datum.roots[k] @ w)))
+            for k, root in enumerate(map(tuple, datum.roots.tolist())) if root in X.plane_slices]
 
 
 def _commutant(ops, centre):

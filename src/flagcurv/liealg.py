@@ -239,12 +239,6 @@ class LieAlgebra:
                 raise ValueError("matrix is not in the span of the algebra (residual %.3e)" % res)
         return coords
 
-    def inner(self, x, y):
-        return float(np.asarray(x) @ self.bi_form @ np.asarray(y))
-
-    def norm(self, x):
-        return float(np.sqrt(max(self.inner(x, x), 0.0)))
-
     # -- invariant checks ---------------------------------------------------
 
     def antisymmetry_residual(self):
@@ -449,7 +443,7 @@ class RootDatum:
         for k in range(self.n_pairs):
             if np.array_equal(self.roots[k], root) or np.array_equal(self.roots[k], -root):
                 return k
-        raise KeyError("no root pair %s" % (tuple(root),))
+        raise KeyError("no root pair %s" % (tuple(root.tolist()),))
 
     def label(self, k):
         return format_root(self.roots[k], symbol="e" if self.algebra.family != "g2" else "a")

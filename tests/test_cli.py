@@ -582,6 +582,8 @@ SU3_CIRCLE = [{"type": "circle", "weights": [1, 0, -1]}]
     [
         ("speeds", {"family": "sp", "n": 3}, [{"type": "circle", "weights": [1, 3, 0]}], {},
          {"name": "speeds", "weights": [1, 3]}, "/task/weights: expected 3 weights"),
+        ("speeds", {"family": "so", "n": 7}, [{"type": "block", "indices": [1, 2, 3, 4, 5]}], {},
+         {"name": "speeds", "weights": [1, 0, 0]}, "/isotropy: space basis is not adapted to root planes\n"),
         ("check-space", {"family": "su", "n": 3}, [{"type": "block", "indices": [1, 4]}], {},
          {"name": "check-space"}, "/isotropy/0/indices: block indices out of range"),
         ("check-space", {"family": "sp", "n": 2}, [{"type": "sp1_block", "index": 3}], {},
@@ -607,7 +609,7 @@ SU3_CIRCLE = [{"type": "circle", "weights": [1, 0, -1]}]
          {"kind": "riemannian", "q": np.diag([-1.0, 1, 1, 1, 1, 1, 1]).tolist()},
          {"name": "check-space"}, "/metric/q: quadratic part is not positive definite"),
     ],
-    ids=["speeds-weights", "block-indices", "sp1-index", "involution-length", "q-size", "explicit-1x1",
+    ids=["speeds-weights", "speeds-not-adapted", "block-indices", "sp1-index", "involution-length", "q-size", "explicit-1x1",
          "explicit-2x2", "block-scales-length", "block-scales-sign", "weights-length", "v0-length",
          "q-not-positive-definite"],
 )

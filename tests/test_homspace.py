@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from flagcurv import homspace
-from flagcurv.liealg import _TORUS_SEED, build_lie_algebra, maximal_torus, null_rows, _quat_to_real
+from flagcurv.liealg import _TORUS_SEED, build_lie_algebra, maximal_torus, null_rows, _quat_to_real, torus_blocks
 from flagcurv.homspace import (
     SubalgebraSpec,
     ad_rotation_speeds,
@@ -161,7 +161,8 @@ def test_g_restriction_is_the_h_root_on_every_regular_fixture(request, name):
 
 def test_regularity_of_block_with_straddling_planes(g2_short):
     # a sub-block whose short root planes straddle the canonical planes is
-    # still regular: the matching realigns the ambient torus
+    # still regular: a maximal torus t_g of the normalizer is not the
+    # canonical one, and ad(t_g) keeps every h-plane
     so7 = build_lie_algebra("so", 7)
     X = build_space(so7, [S.block(1, 2, 3, 4, 5)])
     assert not X.adapted
@@ -188,7 +189,7 @@ def test_regularity_report_is_cached_and_copied(su4):
     assert is_regular_subalgebra(build_space(su4, [S.block(1, 2), S.circle(1, 1, -1, -1)])) == (ok, expected)
 
 
-def test_principal_so3_not_regular():
+def _principal_so3_space():
     g5 = build_lie_algebra("so", 5)
     # spin-2 triple acting on symmetric traceless 3x3 matrices
     basis = []
@@ -210,8 +211,11 @@ def test_principal_so3_not_regular():
     L1 = np.zeros((3, 3)); L1[1, 2] = -1; L1[2, 1] = 1
     L2 = np.zeros((3, 3)); L2[0, 2] = 1; L2[2, 0] = -1
     L3 = np.zeros((3, 3)); L3[0, 1] = -1; L3[1, 0] = 1
-    X = build_space(g5, [S.explicit([rho(L) for L in (L1, L2, L3)])])
-    ok, report = is_regular_subalgebra(X)
+    return build_space(g5, [S.explicit([rho(L) for L in (L1, L2, L3)])])
+
+
+def test_principal_so3_not_regular():
+    ok, report = is_regular_subalgebra(_principal_so3_space())
     assert not ok
     assert not all(m["matched"] for m in report["matching"])
 
@@ -276,6 +280,11 @@ def test_ad_rotation_speeds_sp2(sp2_circle21, p, q):
     assert speeds[(0, 2)] == 2 * q
     assert speeds[(1, 1)] == p + q
     assert speeds[(1, -1)] == p - q
+
+
+def test_ad_rotation_speeds_needs_an_adapted_basis(so7_block5):
+    with pytest.raises(ValueError, match="not adapted to root planes"):
+        ad_rotation_speeds(so7_block5, [1, 0, 0])
 
 
 def test_ad_rotation_speeds_zero_and_errors(sp2_circle21):
@@ -427,3 +436,65 @@ def test_commutant_merges_a_near_degenerate_gap_of_the_lead(monkeypatch):
 def test_exp_isotropy_is_orthogonal(sp3_mixed):
     for R in sp3_mixed.sample_isotropy(6, seed=11):
         assert np.abs(R @ R.T - np.eye(sp3_mixed.dim_m)).max() < 1e-10
+
+
+def _two_loop_basis(g, h_rows):
+    """The m basis by one loop over root planes that rejects a straddling
+    plane, then one that stacks the planes in m after tm: (m_basis,
+    plane_slices, tm_slice, adapted)."""
+    dim = g.dim
+    P_h = h_rows.T @ h_rows if h_rows.size else np.zeros((dim, dim))
+    comp = homspace._orthonormal_rows(np.eye(dim) - P_h, tol=1e-9)
+    datum = g.root_datum()
+    for plane in datum.planes:
+        if np.linalg.norm(P_h @ plane) >= 1e-9 and np.linalg.norm(plane - P_h @ plane) > 1e-9:
+            return comp, {}, None, False
+    t_space = datum.zero_space
+    t_in_h = homspace._intersect_spans(t_space, h_rows) if h_rows.size else np.zeros((0, dim))
+    tm = homspace._orthonormal_rows(t_space - (t_space @ t_in_h.T) @ t_in_h, tol=1e-9)
+    rows, slices = list(tm), {}
+    for k, plane in enumerate(datum.planes):
+        if np.linalg.norm(P_h @ plane) < 1e-9:
+            slices[tuple(int(r) for r in datum.roots[k])] = (len(rows), 2)
+            rows.extend([plane[:, 0], plane[:, 1]])
+    if len(rows) != dim - h_rows.shape[0]:
+        return comp, {}, None, False
+    return np.stack(rows), slices, (0, tm.shape[0]), True
+
+
+def _schur_svd_regularity(X):
+    """Regularity with every root plane of g found by a Schur split of all
+    of g under ad(t_g), and an h-plane matched when an SVD finds it equal to
+    one of them."""
+    g = X.g
+    if X.dim_h == 0:
+        return True, {"matching": [], "vacuous": True}
+    ads_h = g.ad(X.t_h)
+    z_rows = null_rows(np.vstack(ads_h), 1e-9)
+    P_off = np.eye(g.dim) - X.h_basis.T @ X.h_basis
+    null = null_rows((P_off @ g.ad(z_rows) @ X.h_basis.T).reshape(len(z_rows), -1).T, 1e-8)
+    t_g = maximal_torus(g, homspace._orthonormal_rows(null @ z_rows))
+    regular = t_g.shape[0] == g.rank
+    report = {"normalizer_rank": int(t_g.shape[0]), "rank_required": int(g.rank)}
+    h_planes, _ = torus_blocks(ads_h, homspace._orthonormal_rows(X.h_basis))
+    if not h_planes:
+        return regular, dict(report, matching=[], vacuous=True)
+    g_planes = torus_blocks(g.ad(t_g), np.eye(g.dim))[0] if regular else []
+    matching = [{"h_root": (hp[1] @ ads_h @ hp[0]).tolist(),
+                 "matched": any(np.linalg.svd(hp @ gp.T, compute_uv=False).min() > 1.0 - 1e-8 for gp in g_planes)}
+                for hp in h_planes]
+    regular = regular and all(m["matched"] for m in matching)
+    return regular, dict(report, matching=matching, vacuous=False)
+
+
+def test_adapted_basis_and_regularity_match_the_two_loop_and_schur_svd_oracles(request):
+    spaces = _space_fixtures(request) + [_principal_so3_space(), build_space(build_lie_algebra("su", 3), [])]
+    for X in spaces:
+        m_basis, slices, tm_slice, adapted = _two_loop_basis(X.g, X.h_basis)
+        assert np.array_equal(X.m_basis, m_basis)
+        assert list(X.plane_slices.items()) == list(slices.items())
+        assert X.tm_slice == tm_slice and X.adapted == adapted
+        assert is_regular_subalgebra(X) == _schur_svd_regularity(X)
+    # adapted, not adapted, regular and not regular all occur
+    assert {X.adapted for X in spaces} == {True, False}
+    assert {is_regular_subalgebra(X)[0] for X in spaces} == {True, False}

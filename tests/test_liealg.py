@@ -148,6 +148,9 @@ def test_sp2_root_set(sp2):
     datum = sp2.root_datum()
     labels = {datum.label(k) for k in range(datum.n_pairs)}
     assert labels == {"2e1", "2e2", "e1+e2", "e1-e2"}
+    # a root that is not one is named in plain ints
+    with pytest.raises(KeyError, match=r"'no root pair \(3, 0\)'$"):
+        datum.index_for_root((3, 0))
 
 
 def test_su_root_count():
