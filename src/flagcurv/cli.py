@@ -196,8 +196,8 @@ def validate_spec(doc):
         if fam not in ("su", "sp", "so", "g2"):
             raise SpecError("/group/family", "unknown family %r" % fam)
         n = _check_int(grp.get("n", 0), "/group/n", lo=0, hi=12)
-        if fam == "su" and n < 1:
-            raise SpecError("/group/n", "su requires n >= 1")
+        if fam == "su" and n < 2:
+            raise SpecError("/group/n", "su requires n >= 2")
         if fam == "sp" and n < 1:
             raise SpecError("/group/n", "sp requires n >= 1")
         if fam == "so" and n < 3:
@@ -380,9 +380,12 @@ def _space_summary(X):
 
 def _vector_from_spec(X, vec, pointer):
     try:
-        return X.m_vector(**vec)
+        u = X.m_vector(**vec)
     except (KeyError, ValueError) as exc:
         raise SpecError("%s/%s" % (pointer, "vector" if "vector" in vec else "root"), exc.args[0])
+    if not u.any():
+        raise SpecError("%s/%s" % (pointer, "vector" if "vector" in vec else "xy"), "flag vectors must be nonzero")
+    return u
 
 
 def run(spec):

@@ -137,7 +137,7 @@ def flag_curvature(X, F, u, v, tolerances=None, gram_method="auto", gram_step=No
     un, vn = u0 / nu, v0 / nv
 
     details = {"tolerances": dict(tol)}
-    b = X.bracket_full(un, vn)
+    b = X.g.ad(X.lift(un)) @ X.lift(vn)
     comm = math.sqrt(b @ b)
     indep = 1.0 - abs(float(un @ vn))
 

@@ -325,7 +325,7 @@ def construct_example_flat(example_id, params=None, epsilons=DEFAULT_EPSILONS, s
 @lru_cache(maxsize=32)
 def _catalog_space(example_id, p=0, q=0):
     """The G/H of a construction, built once per (example_id, p, q) and
-    shared by every call.  Its space-level caches (bracket tensors,
+    shared by every call.  Its space-level caches (bracket tensor,
     isotropy operators, commutant, root datum) are filled before it is
     shared, and then every array of the space and of its algebra is made
     read-only, so no caller can change what a later call is given.  Norms,
@@ -645,11 +645,12 @@ def verify_closure_claims(example, m_prime=None, flag_index=0, tol=CLOSURE_TOL):
 def _commutant_in_m(X, u):
     """Commutant in m of the pole u, pole line excluded, as (W, s, Vt, k)
     from one SVD W diag(s) Vt of [B(u); u/|u|], with B(u) w = [u, w] (full
-    bracket): the commutant is Vt[dim m - k:].  As B(u) u = 0, the appended
+    bracket), B(u) = g.ad(U) @ M.T for U the lift of u and M the m-basis:
+    the commutant is Vt[dim m - k:].  As B(u) u = 0, the appended
     row lifts the pole's zero singular value to 1 and leaves the null_rows
     cutoff s <= 1e-9 max(1, s_max) as it is.  dim g + 1 > dim m, so the
     economy Vt is all of Vt."""
-    B = np.einsum("ije,i->ej", X.full_bracket_tensor(), u)
+    B = X.g.ad(X.lift(u)) @ X.m_basis.T
     w, s, vt = np.linalg.svd(np.vstack([B, u / np.linalg.norm(u)]), full_matrices=False)
     return w, s, vt, int(np.count_nonzero(s <= 1e-9 * max(1.0, s[0])))
 
@@ -779,13 +780,13 @@ def _score_gradient(X, F, u, v, parts):
     tol = GRADIENT_SPLIT * max(1.0, sv[0])
     if sv[r - 1] <= tol:
         return None
-    bm, bg = X.m_bracket_tensor(), X.full_bracket_tensor()
+    bm, M = X.m_bracket_tensor(), X.m_basis
     unorm = np.linalg.norm(u)
     # the parts of d[B(u); u/|u|][e_i] x = ([e_i, x]; x_i/|u|), x in the
     # kernel, outside the range of [B(u); u/|u|] are the rates at which the
     # zero singular values grow: nonzero where u sits on a stratum of larger k
     com, Wr = vt[r:], W[:, :r]
-    D = np.concatenate([np.einsum("xj,ije->xie", com, bg), com[:, :, None] / unorm], axis=2)
+    D = np.concatenate([-(X.g.ad(com @ M) @ M.T).transpose(0, 2, 1), com[:, :, None] / unorm], axis=2)
     if np.abs(D - (D @ Wr) @ Wr.T).max() > tol:
         return None
     uh = u / unorm
@@ -801,7 +802,7 @@ def _score_gradient(X, F, u, v, parts):
     gamma = 2.0 * (np.einsum("ijk,i,k->j", bm, M1v, g @ v) + (Gp - Gm) @ v * (an / (2.0 * h))
                    + g @ inner + M2.T @ r1)
     gamma -= (gamma @ uh) * uh
-    return (gamma - y[-1] * v) / unorm - np.einsum("ije,j,e->i", bg, v, y[:-1])
+    return (gamma - y[-1] * v) / unorm - M @ (X.g.ad(v @ M) @ y[:-1])
 
 
 def _descend_pole(X, F, u, score, v, parts):

@@ -150,22 +150,12 @@ class HomogeneousSpace:
         return self.m_basis @ np.asarray(x, dtype=float)
 
     def m_bracket_tensor(self):
-        """bm[i,j,k] with [m_i, m_j]_m = sum_k bm[i,j,k] m_k."""
+        """bm[i,j,k] with [m_i, m_j]_m = sum_k bm[i,j,k] m_k, from one product
+        M @ g.ad(M) @ M.T (entries <m_k, [m_i, m_j]>) for M the m-basis."""
         if "bm" not in self._cache:
-            bg = self.full_bracket_tensor()
-            self._cache["bm"] = np.einsum("ije,ke->ijk", bg, self.m_basis)
-        return self._cache["bm"]
-
-    def full_bracket_tensor(self):
-        """bg[i,j,:] = algebra coordinates of [m_i, m_j]."""
-        if "bg" not in self._cache:
-            c = self.g.structure_constants
             M = self.m_basis
-            self._cache["bg"] = np.einsum("abe,ia,jb->ije", c, M, M)
-        return self._cache["bg"]
-
-    def bracket_full(self, u, v):
-        return np.einsum("ije,i,j->e", self.full_bracket_tensor(), u, v)
+            self._cache["bm"] = (M @ self.g.ad(M) @ M.T).transpose(0, 2, 1)
+        return self._cache["bm"]
 
     def m_vector(self, root=None, xy=(1.0, 0.0), vector=None):
         """Build an m-coordinate vector, either raw or as root-plane data."""
@@ -410,7 +400,7 @@ def centralizer_subalgebra(g, elt):
 
 def _ad_matrix(g, elt):
     """Ad(elt) on algebra coordinates: coordinates of elt b_a elt^T."""
-    conj = np.einsum("ij,ajk,kl->ail", elt, g.basis, elt.T)
+    conj = elt @ g.basis @ elt.T
     R = -g.kappa * np.einsum("aij,bji->ba", conj, g.basis)
     recon = np.einsum("ba,bjk->ajk", R, g.basis)
     res = np.abs(recon - conj).max()

@@ -375,11 +375,11 @@ def subalgebra_from_matrices(parent, mats, family="sub"):
 def build_lie_algebra(family, n=0):
     """Construct a compact Lie algebra of the given family.
 
-    su requires n >= 1, sp requires n >= 1, so requires n >= 3; n is ignored
+    su requires n >= 2, sp requires n >= 1, so requires n >= 3; n is ignored
     for g2.
     """
     if family in ("su", "sp", "so"):
-        if n < (3 if family == "so" else 1):
+        if n < {"su": 2, "sp": 1, "so": 3}[family]:
             raise UnsupportedAlgebraError("unsupported algebra: %s(%d)" % (family, n))
         if family == "sp":
             # off-diagonal units first, then the diagonal ones

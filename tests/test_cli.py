@@ -45,6 +45,17 @@ def test_unknown_key_pointer():
     assert err.value.pointer == "/bogus"
 
 
+def test_su1_is_rejected_at_the_group_size(tmp_path, capsys):
+    doc = {"group": {"family": "su", "n": 1}, "task": {"name": "check-space"}}
+    with pytest.raises(SpecError, match="su requires n >= 2") as err:
+        validate_spec(doc)
+    assert err.value.pointer == "/group/n"
+    assert main(["check-space", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error at /group/n: su requires n >= 2\n" and captured.out == ""
+    validate_spec(dict(doc, group={"family": "su", "n": 2}))
+
+
 def test_wrong_circle_length_is_schema_error():
     doc = {
         "group": {"family": "su", "n": 4},
@@ -557,8 +568,12 @@ def test_out_of_memory_exits_2_without_a_traceback(tmp_path, capsys, monkeypatch
          "/task/v/root: root plane (1, 1, 1) is not contained in m"),
         ({"family": "su", "n": 3}, [], {"vector": [1.0, 0.0]}, {"root": [1, 0, -1]},
          "/task/u/vector: raw vector must have length 8"),
+        ({"family": "su", "n": 3}, [], {"vector": [0.0] * 8}, {"root": [1, 0, -1]},
+         "/task/u/vector: flag vectors must be nonzero"),
+        ({"family": "su", "n": 3}, [], {"root": [1, -1, 0]}, {"root": [1, 0, -1], "xy": [0.0, 0.0]},
+         "/task/v/xy: flag vectors must be nonzero"),
     ],
-    ids=["plane-in-h", "not-a-root", "raw-vector-length"],
+    ids=["plane-in-h", "not-a-root", "raw-vector-length", "zero-raw-vector", "zero-xy"],
 )
 def test_curvature_vectors_outside_m_are_rejected_with_a_pointer(tmp_path, capsys, group, isotropy, u, v, message):
     doc = {

@@ -152,7 +152,7 @@ def test_first_condition_guard(catalog3):
     t = X.tm_slice[0]
     Q[s, t] = Q[t, s] = 0.35  # couples the pole plane to the torus line
     F_bad = MinkowskiNorm("riemannian", X.dim_m, Q)
-    assert np.linalg.norm(X.bracket_full(u, v)) < 1e-12
+    assert np.linalg.norm(X.g.ad(X.lift(u)) @ X.lift(v)) < 1e-12
     cert = flag_curvature(X, F_bad, u, v)
     assert cert.verdict == "preconditions_failed"
     assert "first_condition_residual" in cert.details
@@ -206,7 +206,7 @@ def _full_tensor_sectional(X, Q, x, y):
         return np.einsum("ijk,i,j->k", bm, a, b)
 
     def bra_h(a, b):
-        return X.h_basis @ X.bracket_full(a, b)
+        return X.h_basis @ (X.g.ad(X.lift(a)) @ X.lift(b))
 
     def U(a, b):
         rhs = 0.5 * (

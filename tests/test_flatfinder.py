@@ -206,8 +206,8 @@ def test_shared_catalog_space_is_read_only():
     assert construct_example_flat(1, seed=3).space is X
     g = X.g
     datum = g.root_datum()
-    arrays = (X.m_basis, X.h_basis, X.t_h, X.m_bracket_tensor(), X.full_bracket_tensor(),
-              X.isotropy_ad(), X._cache["commutant"], g.basis, g.structure_constants,
+    arrays = (X.m_basis, X.h_basis, X.t_h, X.m_bracket_tensor(), X.isotropy_ad(),
+              X._cache["commutant"], g.basis, g.structure_constants,
               g.bi_form, datum.cartan, datum.roots, datum.planes)
     for a in arrays:
         with pytest.raises(ValueError):
@@ -431,7 +431,7 @@ def test_flatness_score_is_attained_by_its_v(so6_circle):
         assert v is not None
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         assert abs(v @ u) < 1e-9 * np.linalg.norm(u)
-        assert np.linalg.norm(X.bracket_full(u, v)) < 1e-9
+        assert np.linalg.norm(X.g.ad(X.lift(u)) @ X.lift(v)) < 1e-9
         # v attains the score: the flatness residual of (u/|u|, v)
         uh = u / np.linalg.norm(u)
         res = sum(float(r @ r) for r in _flatness_vectors(X, F.gram(uh, method="closed"), uh, v))
@@ -489,6 +489,54 @@ def test_score_gradient_matches_central_differences(so6_circle, kind):
     axes = np.stack([X.m_vector(root=root, xy=(1.0, 0.0)) for root in sorted(X.plane_slices)])
     for u in axes / F.value_many(axes)[:, None]:
         assert np.isfinite(_flatness_score(X, F, u)[0]) and _gradient(X, F, u) is None
+
+
+def _einsum_full_brackets(X):
+    # bg[i, j] = algebra coordinates of [m_i, m_j], contracted from the
+    # structure constants: the tensor the search once read its brackets from
+    M = X.m_basis
+    return np.einsum("abe,ia,jb->ije", X.g.structure_constants, M, M)
+
+
+def _einsum_score_gradient(X, F, u, v, parts, bg):
+    # _score_gradient with its two full-algebra brackets read from bg
+    W, sv, vt, k, lam, g, N, M1, M2, r1, A = parts
+    r, unorm, bm = len(u) - k, np.linalg.norm(u), X.m_bracket_tensor()
+    tol = flatfinder.GRADIENT_SPLIT * max(1.0, sv[0])
+    com, Wr = vt[r:], W[:, :r]
+    D = np.concatenate([np.einsum("xj,ije->xie", com, bg), com[:, :, None] / unorm], axis=2)
+    if sv[r - 1] <= tol or np.abs(D - (D @ Wr) @ Wr.T).max() > tol:
+        return None
+    uh = u / unorm
+    y = Wr @ ((vt[:r] @ (2.0 * (A @ v - lam * v))) / sv[:r])
+    M1v = M1 @ v
+    a = N.T @ M1v
+    an = np.linalg.norm(a)
+    h = flatfinder.GRADIENT_CARTAN_STEP
+    step = a * (h / max(an, 1e-300))
+    Gp, Gm = F.gram_batch_closed(np.stack([uh + step, uh - step]))
+    inner = np.einsum("ijk,i,j->k", bm, M2 @ v, v) + N.T @ r1
+    gamma = 2.0 * (np.einsum("ijk,i,k->j", bm, M1v, g @ v) + (Gp - Gm) @ v * (an / (2.0 * h))
+                   + g @ inner + M2.T @ r1)
+    gamma -= (gamma @ uh) * uh
+    return (gamma - y[-1] * v) / unorm - np.einsum("ije,j,e->i", bg, v, y[:-1])
+
+
+def test_commutant_and_gradient_match_the_structure_constant_contractions(so6_circle):
+    # the commutant's [B(u); u/|u|] and the gradient's brackets, taken
+    # through g.ad, against the same contractions of the structure constants
+    X, F = so6_circle
+    bg = _einsum_full_brackets(X)
+    U = np.random.default_rng(11).standard_normal((4, X.dim_m))
+    U /= F.value_many(U)[:, None]
+    for u in U:
+        W, sv, vt, k = flatfinder._commutant_in_m(X, u)
+        B = np.einsum("ije,i->ej", bg, u)
+        assert np.abs((W * sv) @ vt - np.vstack([B, u / np.linalg.norm(u)])).max() <= 1e-12
+        score, v, parts = _flatness_score(X, F, u)
+        grad, ref = _score_gradient(X, F, u, v, parts), _einsum_score_gradient(X, F, u, v, parts, bg)
+        assert grad is not None and ref is not None
+        assert np.abs(grad - ref).max() <= 1e-12
 
 
 def test_gradient_is_formed_only_at_accepted_steps(so6_circle, monkeypatch):

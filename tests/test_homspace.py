@@ -498,3 +498,20 @@ def test_adapted_basis_and_regularity_match_the_two_loop_and_schur_svd_oracles(r
     # adapted, not adapted, regular and not regular all occur
     assert {X.adapted for X in spaces} == {True, False}
     assert {is_regular_subalgebra(X)[0] for X in spaces} == {True, False}
+
+
+def _einsum_m_bracket_tensor(X):
+    # the structure-constant contractions m_bracket_tensor replaced: the
+    # algebra coordinates of [m_i, m_j], then their m-part
+    M = X.m_basis
+    bg = np.einsum("abe,ia,jb->ije", X.g.structure_constants, M, M)
+    return np.einsum("ije,ke->ijk", bg, M)
+
+
+def test_m_bracket_tensor_matches_the_structure_constant_contraction(request):
+    from flagcurv.flatfinder import _catalog_space
+
+    for X in _space_fixtures(request) + [_catalog_space(k) for k in range(1, 6)]:
+        bm = X.m_bracket_tensor()
+        assert bm.shape == (X.dim_m,) * 3
+        assert np.abs(bm - _einsum_m_bracket_tensor(X)).max() <= 1e-14

@@ -41,6 +41,10 @@ def test_unsupported_family():
         build_lie_algebra("e8", 8)
     with pytest.raises(UnsupportedAlgebraError):
         build_lie_algebra("so", 2)
+    # su(1) has no generators
+    with pytest.raises(UnsupportedAlgebraError, match=r"su\(1\)"):
+        build_lie_algebra("su", 1)
+    assert build_lie_algebra("su", 2).dim == 3
 
 
 def test_bracket_antisymmetry(sp2):
